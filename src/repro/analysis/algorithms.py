@@ -8,10 +8,10 @@ Lemma 4 is "schedulable" for the semi-partitioned algorithms.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.analysis.acceptance import AcceptanceTest
-from repro.core.bounds import ParametricUtilizationBound
+from repro.core.bounds import ParametricUtilizationBound, light_task_threshold
 from repro.core.baselines.edf import partition_edf
 from repro.core.baselines.edf_split import partition_edf_split
 from repro.core.baselines.global_rm import rm_us_schedulable
@@ -23,7 +23,9 @@ from repro.core.rmts_light import partition_rmts_light
 from repro.core.task import TaskSet
 
 __all__ = [
+    "LIGHT_ONLY",
     "PARTITIONERS",
+    "domain_violation",
     "kernel_checked_algorithms",
     "kernel_checked_test",
     "standard_algorithms",
@@ -49,6 +51,31 @@ PARTITIONERS: Dict[str, Partitioner] = {
     "p-edf": lambda ts, m: partition_edf(ts, m),
     "edf-ws": lambda ts, m: partition_edf_split(ts, m),
 }
+
+#: Registry entries proven only for light task sets (Definition 1: every
+#: ``U_i <= Theta/(1+Theta)``).  SPA1's threshold admission is analyzed
+#: in [16] for light tasks only; on a heavy set it can return a partition
+#: that fails exact RTA, so the service, the CLI and cluster ``repart:*``
+#: reject such input instead of running the partitioner.
+LIGHT_ONLY = frozenset({"spa1"})
+
+
+def domain_violation(algorithm: str, taskset: TaskSet) -> Optional[str]:
+    """Why *taskset* lies outside *algorithm*'s proven input domain, or
+    ``None`` when it is inside (entries outside :data:`LIGHT_ONLY`
+    accept every task set)."""
+    if algorithm not in LIGHT_ONLY or not len(taskset):
+        return None
+    threshold = light_task_threshold(len(taskset))
+    heavy = [t for t in taskset if not t.is_light(threshold)]
+    if not heavy:
+        return None
+    worst = max(heavy, key=lambda t: t.utilization)
+    return (
+        f"{algorithm} is defined for light task sets only: {len(heavy)} "
+        f"task(s) exceed Theta/(1+Theta) = {threshold:.4f} "
+        f"(task {worst.tid} has U = {worst.utilization:.4f})"
+    )
 
 
 def rmts_test(

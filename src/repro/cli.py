@@ -33,8 +33,9 @@ from repro.core.bounds import (
     light_task_threshold,
     ll_bound,
 )
-from repro.analysis.algorithms import PARTITIONERS
+from repro.analysis.algorithms import PARTITIONERS, domain_violation
 from repro.core.rmts_light import is_light_task_set
+from repro.core.partition import PartitionResult
 from repro.core.serialization import load_partition, save_partition
 from repro.core.task import TaskSet
 from repro.runner import jobs_arg
@@ -96,10 +97,18 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _partition(ts: TaskSet, algorithm: str, processors: int) -> PartitionResult:
+    """Run a registry partitioner; input outside its proven domain is an
+    error (exit 2), never a partition."""
+    violation = domain_violation(algorithm, ts)
+    if violation is not None:
+        raise ValueError(violation)
+    return ALGORITHMS[algorithm](ts, processors)
+
+
 def cmd_partition(args) -> int:
     ts = load_taskset(args.taskfile)
-    algo = ALGORITHMS[args.algorithm]
-    result = algo(ts, args.processors)
+    result = _partition(ts, args.algorithm, args.processors)
     print(result.processor_report())
     errors = result.validate() if result.success else []
     if errors:
@@ -123,8 +132,7 @@ def cmd_simulate(args) -> int:
                 "plus --processors"
             )
         ts = load_taskset(args.taskfile)
-        algo = ALGORITHMS[args.algorithm]
-        result = algo(ts, args.processors)
+        result = _partition(ts, args.algorithm, args.processors)
     if not result.success:
         print(f"partitioning failed (unassigned: {result.unassigned_tids})")
         return 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.algorithms import PARTITIONERS
+from repro.analysis.algorithms import PARTITIONERS, domain_violation
 from repro.cluster.events import ChurnConfig
 from repro.cluster.state import ClusterState, decode_tid
 from repro.core.partition import PartitionResult, ProcessorState
@@ -261,6 +261,10 @@ class RepartitionPolicy(ChurnPolicy):
             state.apply_install([], {})
             return AdmitOutcome(ops=[["install", [], {}]])
         union, mapping = self._union(state, extra)
+        if domain_violation(self.partitioner_name, union) is not None:
+            # Outside the partitioner's proven domain (SPA1 on a heavy
+            # union): its partition is not trusted, so nothing installs.
+            return None
         result = self._partition(union, self.config.processors)
         if not result.success:
             return None

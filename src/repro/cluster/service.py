@@ -28,8 +28,9 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.algorithms import domain_violation
 from repro.cluster.events import ChurnConfig
-from repro.cluster.policies import make_policy
+from repro.cluster.policies import RepartitionPolicy, make_policy
 from repro.cluster.state import ClusterState
 from repro.core.task import TaskSet
 from repro.perf.telemetry import COUNTERS
@@ -90,6 +91,12 @@ class ClusterCoordinator:
                         "message": f"period {task.period:g} exceeds the "
                                    f"cluster cap {self.config.tmax:g}",
                     })
+        if isinstance(self.policy, RepartitionPolicy):
+            # The light threshold only shrinks as the union grows, so a
+            # task heavy in its own set is heavy in every union with it.
+            violation = domain_violation(self.policy.partitioner_name, taskset)
+            if violation is not None:
+                errors.append({"field": "tasks", "message": violation})
         if errors:
             raise RequestValidationError(errors)
 

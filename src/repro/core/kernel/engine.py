@@ -17,7 +17,7 @@ wide vector operations.  The pipeline:
    ``np.lexsort`` over the flattened corpus — no per-request python
    array objects at all, which is what makes the adapter path fast at
    sweep scale.  Staging is a once-per-corpus cost, mirroring how the
-   serial sweep stages arrays once per :class:`~repro.core.rta.RTAContext`
+   serial sweep stages columns once per :class:`~repro.core.rta.RTAContext`
    and then probes them many times.
 2. **Expand** every surviving request into one *lane* per (sub)task:
    lane ``i`` iterates the fixed point against the priority prefix
@@ -216,7 +216,7 @@ class StagedBatch:
     backend in the equivalence suites) with :func:`evaluate_batch`.
     Staging is deliberately separate from evaluation — the adapter
     contract is "stage once, evaluate many", the batched analogue of
-    the serial path's cached :class:`~repro.core.rta.RTAContext` arrays.
+    the serial path's cached :class:`~repro.core.rta.RTAContext` columns.
     """
 
     __slots__ = ("n_requests", "groups", "empty_idx")

@@ -29,7 +29,7 @@ the fixed existing-set prefix is analyzed **once per search** instead of
 once per probe — the binary search probes through a reusable
 :meth:`~repro.core.rta.RTAContext.admission_probe` (warm-started fixed
 points, no re-sorting), and the scheduling-points variant reads the
-priority-sorted arrays directly as slices.  Without a context the original
+priority-sorted columns directly as slices.  Without a context the original
 rebuild-per-probe code runs (the reference for equivalence tests and the
 ``BENCH_sweep.json`` baseline).  Results are bit-identical either way.
 """
@@ -177,7 +177,7 @@ def max_split_points(
     Higher-priority tasks are unaffected by the newcomer.  The result is
     the minimum over all constraints, clipped to ``[0, C]``.
 
-    With *context* the priority-sorted arrays are read as slices of the
+    With *context* the priority-sorted columns are read as slices of the
     cached existing-set prefix (no per-call sorting or concatenation).
     """
     COUNTERS.maxsplit_calls += 1
@@ -188,17 +188,17 @@ def max_split_points(
 
     if context is not None:
         # The hp set of the j-th lower-priority task is exactly the sorted
-        # prefix of the cached arrays — zero-copy views, analyzed without
-        # re-sorting per search.
+        # prefix of the cached columns, analyzed without re-sorting per
+        # search; the arrays feed the scheduling-point evaluation only.
         pos = bisect_right(context.prio_list, prio)
-        all_costs = context.costs
-        all_periods = context.periods
-        period_list = all_periods.tolist()
+        all_costs = np.array(context.costs, dtype=float)
+        all_periods = np.array(context.periods, dtype=float)
+        period_list = context.periods
         hp_costs = all_costs[:pos]
         hp_periods = all_periods[:pos]
-        lp_costs = all_costs[pos:]
+        lp_costs = context.costs[pos:]
         lp_deadlines = context.deadlines[pos:]
-        n_lp = lp_costs.size
+        n_lp = len(lp_costs)
 
         # The result is min(best, C) in the end, so a constraint whose cap
         # provably reaches C cannot bind.  Evaluating the slack at the
@@ -223,7 +223,7 @@ def max_split_points(
 
         for idx in range(n_lp):
             j = pos + idx
-            dl_j = float(lp_deadlines[idx])
+            dl_j = lp_deadlines[idx]
             interf = (
                 float(np.dot(np.ceil(dl_j / all_periods[:j] - EPS), all_costs[:j]))
                 if j
@@ -231,7 +231,7 @@ def max_split_points(
             )
             denom_dl = np.ceil(dl_j / period_new - EPS)
             if denom_dl > 0:
-                quick = (dl_j - float(lp_costs[idx]) - interf) / denom_dl
+                quick = (dl_j - lp_costs[idx] - interf) / denom_dl
                 if quick >= skip_at:
                     continue
             pts = _scheduling_points_fast(
@@ -240,7 +240,7 @@ def max_split_points(
             )
             numer = (
                 pts
-                - float(lp_costs[idx])
+                - lp_costs[idx]
                 - _interference(pts, all_costs[:j], all_periods[:j])
             )
             denom = np.ceil(pts / period_new - EPS)

@@ -15,19 +15,22 @@ strictly periodic, so the classic critical-instant interference bound
 ``ceil(R / T_j) * C_j`` is exact here, and the synthetic deadline absorbs
 the shift for the analyzed task itself.
 
-Implementation notes (per the HPC guides): the fixed-point iteration is the
-hot path of every acceptance-ratio sweep, so it runs on flat NumPy arrays of
-``(C, T)`` for the higher-priority set — no Python object traffic inside the
-loop.  The iteration starts from the standard lower bound
-``C_i + sum(C_hp)`` and aborts as soon as the response exceeds the deadline.
+Implementation notes: the fixed-point iteration is the hot path of every
+acceptance-ratio sweep, so it runs on flat ``(C, T)`` columns of the
+higher-priority set — no Python object traffic inside the loop.  Up to
+:data:`_SCALAR_MAX` interfering tasks (virtually every processor in the
+paper's experiments) the columns are plain float lists iterated in scalar
+Python; longer sets take a vectorized NumPy loop.  The iteration starts
+from the standard lower bound ``C_i + sum(C_hp)`` and aborts as soon as
+the response exceeds the deadline.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil
-from typing import Callable, Optional, Sequence, Tuple
+from math import ceil, inf, isnan, nan
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,10 +66,18 @@ _MAX_ITER = 10_000
 _SCALAR_MAX = 16
 
 
+#: A ``(C, T)`` column of the higher-priority set: a float list on the
+#: incremental path, a 1-D array on the rebuild path.
+_Column = Union[Sequence[float], np.ndarray]
+
+#: Probe memo: ``(cost, period, deadline, priority, merged responses)``.
+_Memo = Tuple[float, float, float, int, List[float]]
+
+
 def response_time(
     cost: float,
-    hp_costs: np.ndarray,
-    hp_periods: np.ndarray,
+    hp_costs: _Column,
+    hp_periods: _Column,
     deadline: float,
     *,
     start: Optional[float] = None,
@@ -79,7 +90,8 @@ def response_time(
         Execution time of the analyzed (sub)task.
     hp_costs, hp_periods:
         Execution times and periods of strictly higher-priority (sub)tasks
-        sharing the processor.
+        sharing the processor, as float lists or 1-D arrays (same values,
+        same result).
     deadline:
         The analyzed task's (synthetic) deadline; the iteration aborts and
         returns ``None`` as soon as the response exceeds it (no useful exact
@@ -100,15 +112,20 @@ def response_time(
     COUNTERS.rta_calls += 1
     if cost <= 0:
         return 0.0
-    if hp_costs.size == 0:
+    n = len(hp_costs)
+    if n == 0:
         return cost if cost <= deadline + EPS else None
-    if hp_costs.size <= _SCALAR_MAX:
+    if n <= _SCALAR_MAX:
         # Scalar fixed point: NumPy's per-call dispatch overhead dwarfs the
         # actual arithmetic at the hp-set sizes that dominate partitioning
         # (a handful of subtasks per processor), so the same iteration runs
         # roughly an order of magnitude faster on plain Python floats.
-        cs = hp_costs.tolist()
-        ps = hp_periods.tolist()
+        cs = hp_costs.tolist() if isinstance(hp_costs, np.ndarray) else hp_costs
+        ps = (
+            hp_periods.tolist()
+            if isinstance(hp_periods, np.ndarray)
+            else hp_periods
+        )
         r = cost
         for c in cs:  # standard warm start: one job of each
             r += c
@@ -133,6 +150,8 @@ def response_time(
                 return r_new if r_new <= bound else None  # repro-lint: disable=R1 (bound pre-inflated by EPS above)
             r = r_new
         raise RuntimeError("RTA fixed point failed to converge")
+    hp_costs = np.asarray(hp_costs, dtype=float)
+    hp_periods = np.asarray(hp_periods, dtype=float)
     r = cost + float(hp_costs.sum())  # standard warm start: one job of each
     if start is not None and start > r:
         r = start
@@ -234,22 +253,52 @@ def is_schedulable(subtasks: Sequence[Subtask]) -> bool:
     return True
 
 
-def _insert(arr: np.ndarray, pos: int, value: float) -> np.ndarray:
-    """``np.insert`` for the 1-D hot path, without its generic-axis
-    machinery (which costs ~30x the actual copy at these array sizes)."""
-    out = np.empty(arr.size + 1, dtype=arr.dtype)
-    out[:pos] = arr[:pos]
-    out[pos] = value
-    out[pos + 1 :] = arr[pos:]
-    return out
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """``float(np.asarray(xs, dtype=float).sum())`` on a Python list,
+    bit for bit.
+
+    NumPy reduces a contiguous float64 array by pairwise summation: below
+    8 elements a plain left-to-right loop, up to 128 an 8-way unrolled
+    accumulation whose partial sums are combined as a balanced tree (the
+    remainder added last), and above that a split into two halves at a
+    multiple of 8.  Plain ``sum`` rounds differently once ``n >= 8`` (and
+    compensates on Python 3.12+), so every reduction the context shares
+    with the array-based rebuild path goes through this replica
+    (property-tested against NumPy in ``tests/core/test_rta_incremental.py``).
+    """
+    n = len(xs)
+    if n < 8:
+        res = 0.0
+        for x in xs:
+            res += x
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r0 += xs[i]
+            r1 += xs[i + 1]
+            r2 += xs[i + 2]
+            r3 += xs[i + 3]
+            r4 += xs[i + 4]
+            r5 += xs[i + 5]
+            r6 += xs[i + 6]
+            r7 += xs[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(stop, n):
+            res += xs[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
 
 
 class RTAContext:
     """Cached analysis context for one processor's *fixed* subtask list.
 
-    Holds the priority-sorted ``(C, T, Delta)`` arrays plus the
+    Holds the priority-sorted ``(C, T, Delta)`` columns plus the
     last-computed response times, so admission probes stop rebuilding and
-    re-sorting arrays per candidate.  A probe against a candidate at sorted
+    re-sorting per candidate.  A probe against a candidate at sorted
     position ``pos`` reuses the cache twice (Section IV-A structure):
 
     * subtasks with **higher** priority than the candidate are untouched —
@@ -260,8 +309,12 @@ class RTAContext:
       on the new one, see :func:`response_time`), which typically converges
       in one or two iterations.
 
-    All arithmetic uses the same array slices, iteration order and dot
-    products as :func:`is_schedulable` on the merged list, so decisions and
+    The columns are plain Python float lists (``responses`` uses NaN for
+    "not computed"): a processor hosts a handful of subtasks, where NumPy's
+    per-call dispatch costs more than the arithmetic.  All arithmetic uses
+    the same prefixes, iteration order and reductions as
+    :func:`is_schedulable` on the merged list — sums go through
+    :func:`_pairwise_sum`, NumPy's own summation order — so decisions and
     response values are bit-identical to the rebuild-from-scratch path
     (property-tested in ``tests/core/test_rta_incremental.py``).
 
@@ -272,7 +325,6 @@ class RTAContext:
     """
 
     __slots__ = (
-        "_block",
         "costs",
         "periods",
         "deadlines",
@@ -288,25 +340,35 @@ class RTAContext:
         "_memo",
     )
 
+    costs: List[float]
+    periods: List[float]
+    deadlines: List[float]
+    _prios: Optional[np.ndarray]
+    ratios: List[float]
+    util_sum: float
+    prio_list: List[int]
+    implicit: bool
+    rm_ordered: bool
+    hyper_prod: float
+    responses: List[float]
+    first_fail: int
+    _memo: Optional[_Memo]
+
     def __init__(self, subtasks: Sequence[Subtask]) -> None:
-        costs, periods, deadlines, prios = rta_arrays(subtasks)
-        # One (4, n) block holds costs/periods/deadlines/ratios as row
-        # views: a single allocation per context, and incremental
-        # extension copies all four rows in one slice operation.
-        block = np.empty((4, costs.size))
-        block[0] = costs
-        block[1] = periods
-        block[2] = deadlines
-        self._set_block(block)
-        self._prios = prios
-        self.prio_list = prios.tolist()
+        # Stable sort on priority: the same order as :func:`rta_arrays`.
+        ordered = sorted(subtasks, key=lambda s: s.priority)
+        self.costs = costs = [float(s.cost) for s in ordered]
+        self.periods = periods = [float(s.period) for s in ordered]
+        self.deadlines = deadlines = [float(s.deadline) for s in ordered]
+        self.prio_list = [s.priority for s in ordered]
+        self._prios = None
         self._init_derived()
-        self.responses = np.full(costs.size, np.nan)
+        n = len(costs)
+        self.responses = [nan] * n
         # Index of the first subtask failing exact RTA, or a sentinel:
         # -1 schedulable, -2 the necessary utilization condition fails,
         # -3 analysis deferred (see :meth:`_resolve`).
         self.first_fail = -1
-        n = costs.size
         if n and self.util_sum > 1.0 + EPS:
             self.first_fail = -2
             return
@@ -317,32 +379,31 @@ class RTAContext:
                 break
             self.responses[i] = r
 
-    def _set_block(self, block: np.ndarray) -> None:
-        """Adopt a (4, n) data block; rows become the named array views."""
-        self._block = block
-        self.costs = block[0]
-        self.periods = block[1]
-        self.deadlines = block[2]
-        self.ratios = block[3]
-
     def _init_derived(self) -> None:
-        """Derived caches: per-subtask utilizations (elementwise, so their
-        sum is float-identical to ``(costs / periods).sum()`` on the same
-        arrays) and the hyperbolic-bound state for the sufficient
-        pre-accept."""
-        np.divide(self.costs, self.periods, out=self.ratios)
-        self.util_sum = float(self.ratios.sum()) if self.ratios.size else 0.0
+        """Derived caches: per-subtask utilizations (the same IEEE
+        quotients as ``costs / periods``, so their pairwise sum is
+        float-identical to ``(costs / periods).sum()``) and the
+        hyperbolic-bound state for the sufficient pre-accept."""
+        periods = self.periods
+        self.ratios = [c / t for c, t in zip(self.costs, periods)]
+        self.util_sum = _pairwise_sum(self.ratios)
         self._memo = None
         # Bini-Buttazzo applies only when every (synthetic) deadline equals
         # its period, i.e. nothing on the processor has been split, AND the
         # priority order is rate monotonic.  Partitioning always satisfies
         # the latter (tids are assigned in RM order), but the context must
         # stay sound for arbitrary priority-consistent inputs.
-        self.implicit = bool(np.all(self.deadlines == self.periods))  # repro-lint: disable=R1 (exact structural check: unsplit <=> D is literally T)
-        self.rm_ordered = bool((np.diff(self.periods) >= 0.0).all())
-        self.hyper_prod = (
-            float(np.prod(1.0 + self.ratios)) if self.implicit else np.inf
+        self.implicit = all(
+            deadline == period  # repro-lint: disable=R1 (exact structural check: unsplit <=> D is literally T)
+            for deadline, period in zip(self.deadlines, periods)
         )
+        self.rm_ordered = all(a <= b for a, b in zip(periods, periods[1:]))
+        prod = 1.0
+        if self.implicit:
+            # Sequential, like ``np.prod``'s multiply reduction.
+            for u in self.ratios:
+                prod *= 1.0 + u
+        self.hyper_prod = prod if self.implicit else inf
 
     @property
     def prios(self) -> np.ndarray:
@@ -352,7 +413,7 @@ class RTAContext:
         return self._prios
 
     def __len__(self) -> int:
-        return int(self.costs.size)
+        return len(self.costs)
 
     def _resolve(self) -> int:
         """Run the deferred exact RTA of any NaN response slots.
@@ -362,15 +423,15 @@ class RTAContext:
         marked full right after, so the fixed points are usually never
         needed again.  When they are — a later probe, a schedulability
         query, partition validation — this fills the missing slots exactly
-        like a fresh build would (same cold starts over the same array
+        like a fresh build would (same cold starts over the same
         prefixes, hence bit-identical values and failure index).
         """
         costs = self.costs
         periods = self.periods
         deadlines = self.deadlines
         responses = self.responses
-        for i in range(costs.size):
-            if not np.isnan(responses[i]):  # already known
+        for i in range(len(costs)):
+            if not isnan(responses[i]):  # already known
                 continue
             r = response_time(costs[i], costs[:i], periods[:i], deadlines[i])
             if r is None:
@@ -390,9 +451,62 @@ class RTAContext:
     @property
     def utilization(self) -> float:
         """Assigned utilization, summed in priority order."""
-        if self.costs.size == 0:
-            return 0.0
-        return float((self.costs / self.periods).sum())
+        return self.util_sum
+
+    def _hyper_applies(self, pos: int, period: float, deadline: float) -> bool:
+        """Whether the hyperbolic pre-accept covers a candidate at sorted
+        position *pos*: nothing split, and RM order kept by the insert."""
+        periods = self.periods
+        return (
+            self.implicit
+            and self.rm_ordered
+            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
+            and (pos == 0 or periods[pos - 1] <= period)
+            and (pos == len(periods) or period <= periods[pos])
+        )
+
+    def _suffix(
+        self,
+        merged: List[float],
+        pos: int,
+        cost: float,
+        period: float,
+        m_costs: List[float],
+        m_periods: List[float],
+    ) -> bool:
+        """Re-analyze the lower-priority suffix after a candidate
+        ``<cost, period>`` took sorted slot *pos*, appending each new fixed
+        point to *merged*; False on the first miss.
+
+        Each task is warm-started with one step of the *extended*
+        iteration map applied to its cached fixed point — still a lower
+        bound on the new least fixed point (the map is monotone and the old
+        fixed point lies below it), shrunk so float rounding cannot
+        overshoot.  The iteration then typically starts at its
+        destination, and a start beyond the deadline rejects without a
+        single interference sum.
+        """
+        costs = self.costs
+        deadlines = self.deadlines
+        responses = self.responses
+        for i in range(pos, len(costs)):
+            r_prev = responses[i]
+            start = (
+                (r_prev + ceil(r_prev / period - EPS) * cost) * (1.0 - 1e-12)
+                if r_prev == r_prev
+                else None
+            )
+            r = response_time(
+                costs[i],
+                m_costs[: i + 1],
+                m_periods[: i + 1],
+                deadlines[i],
+                start=start,
+            )
+            if r is None:
+                return False
+            merged.append(r)
+        return True
 
     def admission_probe(
         self, period: float, deadline: float, priority: int
@@ -401,34 +515,32 @@ class RTAContext:
         shape (period/deadline/priority fixed, cost varying).
 
         Used by the MaxSplit searches, which probe many costs of the same
-        candidate: the merged arrays are materialized once and only the
+        candidate: the merged columns are materialized once and only the
         candidate's cost slot is rewritten per probe.
         """
         if self.first_fail == -3:
             self._resolve()
         if self.first_fail != -1:
             return lambda cost: False
-        n = self.costs.size
-        # side="right" matches the stable sort of rta_arrays with the
+        period = float(period)
+        deadline = float(deadline)
+        # bisect_right matches the stable sort of rta_arrays with the
         # candidate appended last (ties cannot occur for valid partitions,
         # but the probe must mirror the rebuild path exactly regardless).
         pos = bisect_right(self.prio_list, priority)
-        m_costs = _insert(self.costs, pos, 0.0)
-        m_periods = _insert(self.periods, pos, float(period))
-        m_ratios = _insert(self.ratios, pos, 0.0)
-        hyper = (
-            self.implicit
-            and self.rm_ordered
-            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
-            and (pos == 0 or self.periods[pos - 1] <= period)
-            and (pos == n or period <= self.periods[pos])
-        )
+        m_costs = self.costs.copy()
+        m_costs.insert(pos, 0.0)
+        m_periods = self.periods.copy()
+        m_periods.insert(pos, period)
+        m_ratios = self.ratios.copy()
+        m_ratios.insert(pos, 0.0)
+        hp_costs = self.costs[:pos]
+        hp_periods = self.periods[:pos]
+        hyper = self._hyper_applies(pos, period, deadline)
         hyper_prod = self.hyper_prod
         util_sum = self.util_sum
-        hp_util = float(self.ratios[:pos].sum()) if pos else 0.0
-        deadlines = self.deadlines
-        costs = self.costs
-        responses = self.responses
+        hp_util = _pairwise_sum(self.ratios[:pos])
+        prefix = self.responses[:pos]
         ctx = self
 
         def admit(cost: float) -> bool:
@@ -449,16 +561,15 @@ class RTAContext:
                 if approx > 1.0 + EPS + 1e-10:
                     return False
                 m_ratios[pos] = u_c
-                if float(m_ratios.sum()) > 1.0 + EPS:
+                if _pairwise_sum(m_ratios) > 1.0 + EPS:
                     return False
-            m_costs[pos] = cost
             # The candidate itself: no cached fixed point exists; the fluid
             # bound C/(1-U_hp) warm-starts the iteration (shrunk so float
             # rounding cannot overshoot the least fixed point).
             r = response_time(
                 cost,
-                m_costs[:pos],
-                m_periods[:pos],
+                hp_costs,
+                hp_periods,
                 deadline,
                 start=(
                     cost / (1.0 - hp_util) * (1.0 - 1e-12)
@@ -468,38 +579,15 @@ class RTAContext:
             )
             if r is None:
                 return False
-            merged = np.empty(n + 1)
-            merged[:pos] = responses[:pos]
-            merged[pos] = r
-            # Lower-priority suffix: warm-start each task with one step of
-            # the *extended* iteration map applied to its cached fixed
-            # point — still a lower bound on the new least fixed point
-            # (the map is monotone and the old fixed point lies below it),
-            # shrunk so float rounding cannot overshoot.  The iteration
-            # then typically starts at its destination, and a start beyond
-            # the deadline rejects without a single interference sum.
-            for i in range(pos, n):
-                r_prev = responses[i]
-                start = (
-                    (r_prev + ceil(r_prev / period - EPS) * cost)
-                    * (1.0 - 1e-12)
-                    if r_prev == r_prev
-                    else None
-                )
-                r = response_time(
-                    costs[i],
-                    m_costs[: i + 1],
-                    m_periods[: i + 1],
-                    deadlines[i],
-                    start=start,
-                )
-                if r is None:
-                    return False
-                merged[i + 1] = r
+            merged = prefix.copy()
+            merged.append(r)
+            m_costs[pos] = cost
+            if not ctx._suffix(merged, pos, cost, period, m_costs, m_periods):
+                return False
             # Remember the last admitted candidate's merged responses: when
             # the caller commits it (ProcessorState.add -> with_subtask) the
             # extended context is assembled without re-running any RTA.
-            ctx._memo = (cost, float(period), float(deadline), priority, merged)
+            ctx._memo = (cost, period, deadline, priority, merged)
             return True
 
         return admit
@@ -523,11 +611,7 @@ class RTAContext:
         u_c = cost / period
         pos = bisect_right(self.prio_list, priority)
         if (
-            self.implicit
-            and self.rm_ordered
-            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
-            and (pos == 0 or self.periods[pos - 1] <= period)
-            and (pos == self.periods.size or period <= self.periods[pos])
+            self._hyper_applies(pos, period, deadline)
             and self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9
         ):
             COUNTERS.hyper_accepts += 1
@@ -540,13 +624,16 @@ class RTAContext:
         if approx > 1.0 + EPS - 1e-10:
             if approx > 1.0 + EPS + 1e-10:
                 return False
-            if float(_insert(self.ratios, pos, u_c).sum()) > 1.0 + EPS:
+            m_ratios = self.ratios.copy()
+            m_ratios.insert(pos, u_c)
+            if _pairwise_sum(m_ratios) > 1.0 + EPS:
                 return False
-        # The candidate's hp set is the unchanged prefix — no merged arrays
-        # needed unless the suffix must be re-checked.  The fluid lower
-        # bound C/(1-U_hp) warm-starts the cold iteration; the tiny shrink
-        # keeps float rounding from overshooting the least fixed point.
-        hp_util = float(self.ratios[:pos].sum()) if pos else 0.0
+        # The candidate's hp set is the unchanged prefix — no merged
+        # columns needed unless the suffix must be re-checked.  The fluid
+        # lower bound C/(1-U_hp) warm-starts the cold iteration; the tiny
+        # shrink keeps float rounding from overshooting the least fixed
+        # point.
+        hp_util = _pairwise_sum(self.ratios[:pos])
         start = (
             cost / (1.0 - hp_util) * (1.0 - 1e-12) if hp_util < 1.0 else None
         )
@@ -555,37 +642,17 @@ class RTAContext:
         )
         if r is None:
             return False
-        n = self.costs.size
-        responses = self.responses
-        costs = self.costs
-        deadlines = self.deadlines
-        merged = np.empty(n + 1)
-        merged[:pos] = responses[:pos]
-        merged[pos] = r
-        if pos < n:
-            m_costs = _insert(self.costs, pos, cost)
-            m_periods = _insert(self.periods, pos, float(period))
-            # Suffix warm start: one step of the extended map from the
-            # cached fixed point (see :meth:`admission_probe`).
-            for i in range(pos, n):
-                r_prev = responses[i]
-                start = (
-                    (r_prev + ceil(r_prev / period - EPS) * cost)
-                    * (1.0 - 1e-12)
-                    if r_prev == r_prev
-                    else None
-                )
-                r = response_time(
-                    costs[i],
-                    m_costs[: i + 1],
-                    m_periods[: i + 1],
-                    deadlines[i],
-                    start=start,
-                )
-                if r is None:
-                    return False
-                merged[i + 1] = r
-        self._memo = (cost, float(period), float(deadline), priority, merged)
+        merged = self.responses[:pos]
+        merged.append(r)
+        period = float(period)
+        if pos < len(self.costs):
+            m_costs = self.costs.copy()
+            m_costs.insert(pos, float(cost))
+            m_periods = self.periods.copy()
+            m_periods.insert(pos, period)
+            if not self._suffix(merged, pos, cost, period, m_costs, m_periods):
+                return False
+        self._memo = (cost, period, float(deadline), priority, merged)
         return True
 
     def admits_subtask(self, candidate: Subtask) -> bool:
@@ -605,46 +672,47 @@ class RTAContext:
         verbatim; the candidate and the lower-priority suffix are settled
         by the probe memo or the hyperbolic accept when possible, and
         deferred to :meth:`_resolve` otherwise.  Either way the observable
-        values are bit-identical to a fresh build (same arrays, same
-        iteration maps, same dot products), so
+        values are bit-identical to a fresh build (same columns, same
+        iteration maps, same reductions), so
         :meth:`ProcessorState.add <repro.core.partition.ProcessorState.add>`
         can maintain its cache in O(n) instead of O(n^2) per mutation.
         """
         new = RTAContext.__new__(RTAContext)
         pos = bisect_right(self.prio_list, candidate.priority)
-        u_c = candidate.cost / candidate.period
-        old = self._block
-        block = np.empty((4, old.shape[1] + 1))
-        block[:, :pos] = old[:, :pos]
-        block[:, pos + 1 :] = old[:, pos:]
-        block[0, pos] = candidate.cost
-        block[1, pos] = candidate.period
-        block[2, pos] = candidate.deadline
-        block[3, pos] = u_c
-        new._set_block(block)
+        cost = float(candidate.cost)
+        period = float(candidate.period)
+        deadline = float(candidate.deadline)
+        u_c = cost / period
+        periods = self.periods
+        new.costs = self.costs.copy()
+        new.costs.insert(pos, cost)
+        new.periods = periods.copy()
+        new.periods.insert(pos, period)
+        new.deadlines = self.deadlines.copy()
+        new.deadlines.insert(pos, deadline)
+        new.ratios = self.ratios.copy()
+        new.ratios.insert(pos, u_c)
         new._prios = None
-        new.util_sum = float(new.ratios.sum())
+        new.util_sum = _pairwise_sum(new.ratios)
         new.prio_list = self.prio_list.copy()
         new.prio_list.insert(pos, candidate.priority)
-        new.implicit = self.implicit and candidate.deadline == candidate.period  # repro-lint: disable=R1 (structural: split pieces have D < T)
-        new.rm_ordered = bool(
+        new.implicit = self.implicit and deadline == period  # repro-lint: disable=R1 (structural: split pieces have D < T)
+        new.rm_ordered = (
             self.rm_ordered
-            and (pos == 0 or old[1, pos - 1] <= candidate.period)
-            and (pos == old.shape[1] or candidate.period <= old[1, pos])
+            and (pos == 0 or periods[pos - 1] <= period)
+            and (pos == len(periods) or period <= periods[pos])
         )
         # Maintained as a running product: may drift from a fresh
-        # ``np.prod`` by ulps, which the pre-accept margin absorbs.
-        new.hyper_prod = (
-            self.hyper_prod * (1.0 + u_c) if new.implicit else np.inf
-        )
+        # sequential product by ulps, which the pre-accept margin absorbs.
+        new.hyper_prod = self.hyper_prod * (1.0 + u_c) if new.implicit else inf
         new._memo = None
-        n = new.costs.size
+        n = len(new.costs)
         memo = self._memo
         if (
             memo is not None
-            and memo[0] == candidate.cost
-            and memo[1] == candidate.period
-            and memo[2] == candidate.deadline  # repro-lint: disable=R1 (memo key: identity of the exact floats probed)
+            and memo[0] == cost
+            and memo[1] == period
+            and memo[2] == deadline  # repro-lint: disable=R1 (memo key: identity of the exact floats probed)
             and memo[3] == candidate.priority
         ):
             # The candidate was just admitted through a probe of this very
@@ -662,21 +730,19 @@ class RTAContext:
             # Hyperbolic sufficient accept: schedulability is settled, so
             # fixed points need not be computed now.  NaN responses mean
             # "no cached value" — later probes cold-start those slots.
-            new.responses = responses = np.empty(n)
-            responses[pos:] = np.nan
-            responses[:pos] = self.responses[:pos]
+            new.responses = self.responses[:pos] + [nan] * (n - pos)
             new.first_fail = -1
             return new
-        new.responses = np.empty(n)
-        new.responses[:] = np.nan
         if new.util_sum > 1.0 + EPS:
+            new.responses = [nan] * n
             new.first_fail = -2
             return new
         if 0 <= self.first_fail < pos:
             # The old failure is in the unchanged prefix; it fails
             # identically in the extended set.
-            new.responses[: self.first_fail] = self.responses[: self.first_fail]
-            new.first_fail = self.first_fail
+            keep = self.first_fail
+            new.responses = self.responses[:keep] + [nan] * (n - keep)
+            new.first_fail = keep
             return new
         # General path: defer the exact analysis.  This case is dominated
         # by body subtasks landing on a processor that is marked full
@@ -684,7 +750,7 @@ class RTAContext:
         # usually never consulted; :meth:`_resolve` computes any slot that
         # is later needed, bit-identically to a fresh build.  The valid
         # prefix responses are kept (NaN slots stay "unknown").
-        new.responses[:pos] = self.responses[:pos]
+        new.responses = self.responses[:pos] + [nan] * (n - pos)
         new.first_fail = -3
         return new
 

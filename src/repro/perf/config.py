@@ -4,7 +4,7 @@
 
 * ``True`` (default) — :class:`repro.core.rta.RTAContext` caching: each
   :class:`~repro.core.partition.ProcessorState` keeps priority-sorted
-  ``(C, T, Delta)`` arrays plus the last-computed response times, and
+  ``(C, T, Delta)`` columns plus the last-computed response times, and
   admission probes reuse the unchanged higher-priority prefix with
   warm-started fixed points.
 * ``False`` — the seed code path: every probe rebuilds and re-sorts the

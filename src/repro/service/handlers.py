@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro._util.floats import EPS
 from repro._util.validation import as_int
-from repro.analysis.algorithms import PARTITIONERS
+from repro.analysis.algorithms import PARTITIONERS, domain_violation
 from repro.core.bounds import (
     ALL_BOUNDS,
     best_bound_value,
@@ -115,7 +115,26 @@ def compute_admit_body(
     taskset: TaskSet, processors: int, algorithm: str,
     *, inject_delay: float = 0.0,
 ) -> Dict[str, object]:
-    """Run the real partitioning analysis and build the response body."""
+    """Run the real partitioning analysis and build the response body.
+
+    A task set outside the algorithm's proven input domain (SPA1 on a
+    heavy set) is rejected without partitioning; ``reason`` says why.
+    """
+    violation = domain_violation(algorithm, taskset)
+    if violation is not None:
+        return {
+            "admitted": False,
+            "degraded": False,
+            "decided_by": "input-domain",
+            "reason": violation,
+            "algorithm": algorithm,
+            "processors": processors,
+            "n": len(taskset),
+            "utilization": taskset.total_utilization,
+            "normalized_utilization": taskset.normalized_utilization(processors),
+            "partition": None,
+            "unassigned_tids": [t.tid for t in taskset],
+        }
     if inject_delay > 0.0:
         time.sleep(inject_delay)
     with _obs_trace.span(

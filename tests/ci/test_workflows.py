@@ -39,6 +39,12 @@ KERNEL_BENCH_CMD = (
     "--out fresh/BENCH_kernel_batch.json"
 )
 
+E2E_TESTS_CMD = "python3 -m pytest e2ebench/tests -q"
+E2E_GATE_CMD = (
+    "python3 e2ebench/run.py --workload sweep-e3 --seed 1 --seconds 2 "
+    "--trace 0"
+)
+
 
 def test_workflow_files_exist():
     assert CI.is_file(), "missing .github/workflows/ci.yml"
@@ -299,3 +305,14 @@ def test_scripts_wrapper_is_what_nightly_invokes():
     assert script.is_file()
     assert os.access(script, os.R_OK)
     assert DRIFT_CMD in NIGHTLY.read_text()
+
+
+def test_ci_runs_the_e2ebench_gate_as_documented():
+    """The end-to-end benchmark's self-tests and its sweep reference
+    gate run in CI exactly as CONTRIBUTING.md documents them."""
+    text = CI.read_text()
+    assert "e2ebench:" in text, "CI must have an e2ebench job"
+    docs = (ROOT / "CONTRIBUTING.md").read_text()
+    for cmd in (E2E_TESTS_CMD, E2E_GATE_CMD):
+        assert cmd in text, f"ci.yml missing: {cmd}"
+        assert cmd in docs, f"CONTRIBUTING.md missing: {cmd}"

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rta import RTAContext, is_schedulable, response_times
+from repro.core.partition import ProcessorState
+from repro.core.rta import (
+    RTAContext,
+    _pairwise_sum,
+    is_schedulable,
+    response_times,
+)
 from repro.core.rmts import partition_rmts
 from repro.core.rmts_light import partition_rmts_light
 from repro.core.baselines import partition_no_split
@@ -62,6 +68,52 @@ def merged(subtasks, candidate):
     return sorted(subtasks + [candidate], key=lambda s: s.priority)
 
 
+def same_floats(xs, ys):
+    """Bit-for-bit equality of two float lists, NaN equal to NaN."""
+    return len(xs) == len(ys) and all(
+        (x != x and y != y) or x == y for x, y in zip(xs, ys)
+    )
+
+
+def settle(ctx):
+    """Fill every response slot a later probe could still compute:
+    deferred slots and slots left NaN by a hyperbolic accept alike."""
+    if ctx.first_fail != -2:
+        ctx._resolve()
+    return ctx
+
+
+def assert_same_context(grown, fresh):
+    """*grown* (built incrementally) equals a fresh build exactly."""
+    for column in ("costs", "periods", "deadlines", "ratios", "prio_list"):
+        assert getattr(grown, column) == getattr(fresh, column), column
+    assert grown.util_sum == fresh.util_sum
+    assert grown.utilization == fresh.utilization
+    assert grown.implicit == fresh.implicit
+    assert grown.rm_ordered == fresh.rm_ordered
+    # The running product may differ from a fresh one by ulps (the
+    # pre-accept margin absorbs that); it must never be off by more.
+    assert grown.hyper_prod == pytest.approx(fresh.hyper_prod, rel=1e-12)
+    assert grown.schedulable == fresh.schedulable
+    settle(grown)
+    settle(fresh)
+    assert grown.first_fail == fresh.first_fail
+    assert same_floats(grown.responses, fresh.responses)
+
+
+@pytest.mark.kernel
+def test_pairwise_sum_equals_numpy_sum_bit_for_bit():
+    """The context's list reduction replicates NumPy's pairwise summation
+    (unrolled below 128, split above) on every length the tree changes
+    shape at, with signed mixed-magnitude terms so order matters."""
+    rng = np.random.default_rng(20120521)
+    for n in range(0, 131):
+        for _ in range(40):
+            signs = rng.choice([-1.0, 1.0], size=n)
+            xs = (signs * rng.random(n) * 10.0 ** rng.uniform(-4, 4, n)).tolist()
+            assert _pairwise_sum(xs) == float(np.asarray(xs, dtype=float).sum()), n
+
+
 class TestContextMatchesOneShot:
     @given(seed=seeds)
     @settings(max_examples=150, deadline=None)
@@ -102,12 +154,7 @@ class TestContextMatchesOneShot:
         candidate = random_candidate(seed, len(subs))
         grown = RTAContext(subs).with_subtask(candidate)
         fresh = RTAContext(merged(subs, candidate))
-        assert grown.schedulable == fresh.schedulable
-        # After resolution both contexts expose the same computed values.
-        for got, want in zip(grown.responses, fresh.responses):
-            if got == got and want == want:
-                assert got == want
-        assert grown.util_sum == pytest.approx(fresh.util_sum, abs=1e-12)
+        assert_same_context(grown, fresh)
 
     @given(seed=seeds)
     @settings(max_examples=100, deadline=None)
@@ -122,9 +169,52 @@ class TestContextMatchesOneShot:
         assert grown.schedulable
         fresh = RTAContext(merged(subs, candidate))
         assert fresh.schedulable
-        for got, want in zip(grown.responses, fresh.responses):
-            if got == got and want == want:
-                assert got == want
+        assert_same_context(grown, fresh)
+
+    @given(seed=seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_probe_memo_commit_equals_fresh_build(self, seed):
+        """A MaxSplit-style probe closure memoizes its last admitted cost;
+        committing that cost must equal a fresh build exactly."""
+        subs = random_subtasks(seed)
+        candidate = random_candidate(seed, len(subs))
+        ctx = RTAContext(subs)
+        admit = ctx.admission_probe(
+            candidate.period, candidate.deadline, candidate.priority
+        )
+        cost = candidate.cost
+        for _ in range(20):
+            if admit(cost):
+                break
+            cost *= 0.5
+        else:
+            return
+        piece = Subtask(
+            cost=cost,
+            period=candidate.period,
+            deadline=candidate.deadline,
+            parent=candidate.parent,
+        )
+        grown = ctx.with_subtask(piece)
+        assert_same_context(grown, RTAContext(merged(subs, piece)))
+
+    @given(seed=seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_grown_across_remove_parent_equals_fresh_build(self, seed):
+        """Contexts grown through ProcessorState.add, before and after a
+        departure, match a fresh build of the processor's contents."""
+        subs = random_subtasks(seed, n=12)  # 11 after the departure
+        proc = ProcessorState(index=0)
+        for sub in subs[:4]:
+            proc.schedulable_with(sub)  # probe first: exercises the memo
+            proc.add(sub)
+        assert_same_context(proc.rta_context(), RTAContext(proc.subtasks))
+        proc.remove_parent(subs[1].parent.tid)
+        proc.rta_context()
+        for sub in subs[4:]:
+            proc.schedulable_with(sub)
+            proc.add(sub)
+        assert_same_context(proc.rta_context(), RTAContext(proc.subtasks))
 
 
 class TestEndToEndPartitionEquality:
