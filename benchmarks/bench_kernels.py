@@ -16,7 +16,6 @@ from repro.core.rmts import partition_rmts
 from repro.core.rmts_light import partition_rmts_light
 from repro.core.rta import RTAContext, is_schedulable
 from repro.core.task import Subtask, Task
-from repro.perf import use_incremental_rta
 from repro.sim.engine import simulate_partition
 from repro.taskgen.generators import TaskSetGenerator
 from repro.taskgen.randfixedsum import randfixedsum
@@ -48,16 +47,6 @@ def test_maxsplit_binary(benchmark, loaded_subtasks):
     benchmark(max_split_binary, loaded_subtasks, piece)
 
 
-def test_admission_legacy_rebuild(benchmark, loaded_subtasks):
-    """Seed-style admission: rebuild + re-sort arrays for every probe."""
-    candidate = Subtask.whole(Task(cost=40.0, period=800.0, tid=10_000))
-    proc = ProcessorState(index=0)
-    for sub in loaded_subtasks:
-        proc.add(sub)
-    with use_incremental_rta(False):
-        benchmark(proc.schedulable_with, candidate)
-
-
 def test_admission_incremental_context(benchmark, loaded_subtasks):
     """Cached-context admission: prefix reuse + warm-started fixed points."""
     candidate = Subtask.whole(Task(cost=40.0, period=800.0, tid=10_000))
@@ -65,8 +54,7 @@ def test_admission_incremental_context(benchmark, loaded_subtasks):
     for sub in loaded_subtasks:
         proc.add(sub)
     proc.rta_context()  # build once; probes must not rebuild it
-    with use_incremental_rta(True):
-        benchmark(proc.schedulable_with, candidate)
+    benchmark(proc.schedulable_with, candidate)
 
 
 def test_maxsplit_points_prefix_context(benchmark, loaded_subtasks):

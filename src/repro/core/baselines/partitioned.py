@@ -18,7 +18,6 @@ from typing import List, Optional
 from repro.core.partition import PartitionResult, ProcessorState
 from repro.core.rta import liu_layland_test_holds
 from repro.core.task import Subtask, TaskSet
-from repro.perf import config as perf_config
 
 __all__ = ["FitHeuristic", "partition_no_split"]
 
@@ -37,8 +36,6 @@ class FitHeuristic(enum.Enum):
 def _admits(proc: ProcessorState, candidate: Subtask, admission: str) -> bool:
     """Admission test for strict partitioning (no synthetic deadlines)."""
     if admission == "rta":
-        # Cached incremental admission (falls back to the rebuild path
-        # when the performance layer is switched off).
         return proc.schedulable_with(candidate)
     if admission == "ll":
         return liu_layland_test_holds(proc.subtasks + [candidate])
@@ -80,22 +77,16 @@ def partition_no_split(
     for task in tasks:
         candidate = Subtask.whole(task)
         target: Optional[ProcessorState] = None
-        if (
-            heuristic is FitHeuristic.FIRST_FIT
-            and perf_config.incremental_rta
-        ):
-            # Lazy scan (perf layer): first-fit only needs the first
-            # feasible processor, so stop probing at the first admit —
-            # identical outcome, a fraction of the admission calls.
+        if heuristic is FitHeuristic.FIRST_FIT:
+            # Lazy scan: first-fit only needs the first feasible processor
+            # (procs are in index order), so stop probing at the first admit.
             target = next(
                 (p for p in procs if _admits(p, candidate, admission)), None
             )
         else:
             feasible = [p for p in procs if _admits(p, candidate, admission)]
             if feasible:
-                if heuristic is FitHeuristic.FIRST_FIT:
-                    target = min(feasible, key=lambda p: p.index)
-                elif heuristic is FitHeuristic.WORST_FIT:
+                if heuristic is FitHeuristic.WORST_FIT:
                     target = min(
                         feasible, key=lambda p: (p.utilization, p.index)
                     )

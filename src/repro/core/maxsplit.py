@@ -26,12 +26,12 @@ pre-assigned heavy task already lives on the target processor).
 Performance layer: both variants accept an optional pre-built
 :class:`~repro.core.rta.RTAContext` for the existing set.  With a context
 the fixed existing-set prefix is analyzed **once per search** instead of
-once per probe — the binary search probes through a reusable
-:meth:`~repro.core.rta.RTAContext.admission_probe` (warm-started fixed
-points, no re-sorting), and the scheduling-points variant reads the
-priority-sorted columns directly as slices.  Without a context the original
-rebuild-per-probe code runs (the reference for equivalence tests and the
-``BENCH_sweep.json`` baseline).  Results are bit-identical either way.
+once per probe — the binary search probes through
+:meth:`~repro.core.rta.RTAContext.admits` (warm-started fixed points, no
+re-sorting), and the scheduling-points variant reads the priority-sorted
+columns directly as slices.  Without a context each probe analyzes the
+merged list from scratch: the reference the equivalence tests compare
+against.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def max_split_binary(
     nothing fits.
 
     With *context* the existing-set prefix is analyzed once and every probe
-    reuses it; without, each probe rebuilds from scratch (seed behavior).
+    reuses it; without, each probe analyzes from scratch (the reference).
     """
     COUNTERS.maxsplit_calls += 1
     if piece.cost <= 0:
@@ -97,10 +97,12 @@ def max_split_binary(
             # Invariant violation upstream: the processor must be
             # schedulable before a split is attempted.
             return 0.0
+        probe = context.admits
         cand = piece.as_candidate()
-        admit = context.admission_probe(
-            cand.period, cand.deadline, cand.priority
-        )
+
+        def admit(cost: float) -> bool:
+            return probe(cost, cand.period, cand.deadline, cand.priority)
+
     else:
         if not is_schedulable(list(existing)):
             return 0.0

@@ -156,12 +156,9 @@ class ProcessorState:
         """Exact-RTA admission: does everything still meet its deadline if
         *candidate* joins this processor? (Assign routine, Algorithm 2).
 
-        Uses the cached incremental context unless the performance layer is
-        switched off (``repro.perf.config``); both paths are bit-identical.
+        Answered by the cached incremental context, bit-identical to
+        ``is_schedulable(subtasks + [candidate])``.
         """
-        if not perf_config.incremental_rta:
-            COUNTERS.legacy_admissions += 1
-            return is_schedulable(self.subtasks + [candidate])
         ctx = self._ctx
         if ctx is None or len(ctx) != len(self.subtasks):
             ctx = self.rta_context()
@@ -173,9 +170,7 @@ class ProcessorState:
         )
 
     def is_schedulable(self) -> bool:
-        """Exact-RTA check of the current contents."""
-        if not perf_config.incremental_rta:
-            return is_schedulable(self.subtasks)
+        """Exact-RTA check of the current contents (cached)."""
         return self.rta_context().schedulable
 
     def body_subtasks(self) -> List[Subtask]:
@@ -545,7 +540,9 @@ class PartitionResult:
                         errors.append(
                             f"processor {proc.index}: fails exact RTA"
                         )
-                elif not proc.is_schedulable():
+                elif not is_schedulable(proc.subtasks):
+                    # From scratch, not proc.is_schedulable(): the cached
+                    # context would miss an unsupported in-place edit.
                     errors.append(f"processor {proc.index}: fails exact RTA")
 
         for tid, view in views.items():

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil, inf, isnan, nan
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,7 +67,7 @@ _SCALAR_MAX = 16
 
 
 #: A ``(C, T)`` column of the higher-priority set: a float list on the
-#: incremental path, a 1-D array on the rebuild path.
+#: incremental path, a 1-D array on the from-scratch path.
 _Column = Union[Sequence[float], np.ndarray]
 
 #: Probe memo: ``(cost, period, deadline, priority, merged responses)``.
@@ -102,7 +102,12 @@ def response_time(
         of the interference (the iteration map is monotone, so any fixed
         point of the smaller map is a pre-fixed point of the larger one and
         the iteration still converges to the same least fixed point,
-        producing the identical float value).
+        producing the identical float value).  A warm start usually sits a
+        hair below its target, so the first step lands within ``EPS``
+        above it; that value is returned only after one uncounted check
+        that it maps to itself.  Without the check a job boundary lying
+        between the start and the target would be skipped, and the result
+        would differ from the cold iteration's.
 
     Returns
     -------
@@ -129,7 +134,8 @@ def response_time(
         r = cost
         for c in cs:  # standard warm start: one job of each
             r += c
-        if start is not None and start > r:
+        warm = start is not None and start > r
+        if warm:
             r = start
         bound = deadline * (1.0 + 1e-12) + EPS
         iterations = 0
@@ -144,6 +150,13 @@ def response_time(
             for c, t in zip(cs, ps):
                 r_new += ceil(r / t - EPS) * c
             if r_new <= r + EPS:
+                if warm and r_new > r:
+                    r_chk = cost
+                    for c, t in zip(cs, ps):
+                        r_chk += ceil(r_new / t - EPS) * c
+                    if r_chk > r_new:
+                        r = r_new
+                        continue
                 COUNTERS.rta_iterations += iterations
                 if _obs_metrics.ENABLED:
                     _obs_metrics.RTA_ITERATIONS.observe(iterations)
@@ -153,7 +166,8 @@ def response_time(
     hp_costs = np.asarray(hp_costs, dtype=float)
     hp_periods = np.asarray(hp_periods, dtype=float)
     r = cost + float(hp_costs.sum())  # standard warm start: one job of each
-    if start is not None and start > r:
+    warm = start is not None and start > r
+    if warm:
         r = start
     bound = deadline * (1.0 + 1e-12) + EPS
     iterations = 0
@@ -168,6 +182,11 @@ def response_time(
         jobs = np.ceil(r / hp_periods - EPS)
         r_new = cost + float(np.dot(jobs, hp_costs))
         if r_new <= r + EPS:
+            if warm and r_new > r:
+                jobs = np.ceil(r_new / hp_periods - EPS)
+                if cost + float(np.dot(jobs, hp_costs)) > r_new:
+                    r = r_new
+                    continue
             COUNTERS.rta_iterations += iterations
             if _obs_metrics.ENABLED:
                 _obs_metrics.RTA_ITERATIONS.observe(iterations)
@@ -263,7 +282,7 @@ def _pairwise_sum(xs: Sequence[float]) -> float:
     remainder added last), and above that a split into two halves at a
     multiple of 8.  Plain ``sum`` rounds differently once ``n >= 8`` (and
     compensates on Python 3.12+), so every reduction the context shares
-    with the array-based rebuild path goes through this replica
+    with the array-based from-scratch analysis goes through this replica
     (property-tested against NumPy in ``tests/core/test_rta_incremental.py``).
     """
     n = len(xs)
@@ -508,90 +527,6 @@ class RTAContext:
             merged.append(r)
         return True
 
-    def admission_probe(
-        self, period: float, deadline: float, priority: int
-    ) -> Callable[[float], bool]:
-        """A reusable admission test ``cost -> fits?`` for one candidate
-        shape (period/deadline/priority fixed, cost varying).
-
-        Used by the MaxSplit searches, which probe many costs of the same
-        candidate: the merged columns are materialized once and only the
-        candidate's cost slot is rewritten per probe.
-        """
-        if self.first_fail == -3:
-            self._resolve()
-        if self.first_fail != -1:
-            return lambda cost: False
-        period = float(period)
-        deadline = float(deadline)
-        # bisect_right matches the stable sort of rta_arrays with the
-        # candidate appended last (ties cannot occur for valid partitions,
-        # but the probe must mirror the rebuild path exactly regardless).
-        pos = bisect_right(self.prio_list, priority)
-        m_costs = self.costs.copy()
-        m_costs.insert(pos, 0.0)
-        m_periods = self.periods.copy()
-        m_periods.insert(pos, period)
-        m_ratios = self.ratios.copy()
-        m_ratios.insert(pos, 0.0)
-        hp_costs = self.costs[:pos]
-        hp_periods = self.periods[:pos]
-        hyper = self._hyper_applies(pos, period, deadline)
-        hyper_prod = self.hyper_prod
-        util_sum = self.util_sum
-        hp_util = _pairwise_sum(self.ratios[:pos])
-        prefix = self.responses[:pos]
-        ctx = self
-
-        def admit(cost: float) -> bool:
-            COUNTERS.admission_probes += 1
-            u_c = cost / period
-            if hyper and hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9:
-                # Hyperbolic sufficient accept (Bini-Buttazzo): implies the
-                # exact-RTA accept, so the decision is unchanged; the margin
-                # keeps float rounding from crossing the bound's edge.
-                COUNTERS.hyper_accepts += 1
-                return True
-            # Necessary condition: cheap cached-sum test with a margin far
-            # above its summation-order error; candidates inside the band
-            # fall back to the merged-order sum the legacy path compares
-            # (elementwise division commutes with the insertion).
-            approx = util_sum + u_c
-            if approx > 1.0 + EPS - 1e-10:
-                if approx > 1.0 + EPS + 1e-10:
-                    return False
-                m_ratios[pos] = u_c
-                if _pairwise_sum(m_ratios) > 1.0 + EPS:
-                    return False
-            # The candidate itself: no cached fixed point exists; the fluid
-            # bound C/(1-U_hp) warm-starts the iteration (shrunk so float
-            # rounding cannot overshoot the least fixed point).
-            r = response_time(
-                cost,
-                hp_costs,
-                hp_periods,
-                deadline,
-                start=(
-                    cost / (1.0 - hp_util) * (1.0 - 1e-12)
-                    if hp_util < 1.0
-                    else None
-                ),
-            )
-            if r is None:
-                return False
-            merged = prefix.copy()
-            merged.append(r)
-            m_costs[pos] = cost
-            if not ctx._suffix(merged, pos, cost, period, m_costs, m_periods):
-                return False
-            # Remember the last admitted candidate's merged responses: when
-            # the caller commits it (ProcessorState.add -> with_subtask) the
-            # extended context is assembled without re-running any RTA.
-            ctx._memo = (cost, period, deadline, priority, merged)
-            return True
-
-        return admit
-
     def admits(
         self, cost: float, period: float, deadline: float, priority: int
     ) -> bool:
@@ -600,8 +535,9 @@ class RTAContext:
 
         Decision-identical to ``is_schedulable(subtasks + [candidate])``,
         via (in order): the hyperbolic sufficient accept, the necessary
-        utilization reject, and the prefix-reusing exact RTA.  Single-shot
-        twin of :meth:`admission_probe` without the closure setup.
+        utilization reject, and the prefix-reusing exact RTA.  Both
+        admission (Assign) and the binary MaxSplit search probe through
+        here; an admitted candidate is memoized for :meth:`with_subtask`.
         """
         COUNTERS.admission_probes += 1
         if self.first_fail == -3:
@@ -609,17 +545,23 @@ class RTAContext:
         if self.first_fail != -1:
             return False
         u_c = cost / period
+        # bisect_right matches the stable sort of rta_arrays with the
+        # candidate appended last (ties cannot occur for valid partitions,
+        # but the probe must mirror the from-scratch analysis regardless).
         pos = bisect_right(self.prio_list, priority)
         if (
             self._hyper_applies(pos, period, deadline)
             and self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9
         ):
+            # Hyperbolic sufficient accept (Bini-Buttazzo): implies the
+            # exact-RTA accept, so the decision is unchanged; the margin
+            # keeps float rounding from crossing the bound's edge.
             COUNTERS.hyper_accepts += 1
             return True
         # Necessary utilization condition.  The cheap cached-sum test is
         # conservative by a margin far above its worst-case summation-order
         # error (~n*eps); only candidates inside the margin band fall back
-        # to the merged-order sum that the legacy path compares.
+        # to the merged-order sum that :func:`is_schedulable` compares.
         approx = self.util_sum + u_c
         if approx > 1.0 + EPS - 1e-10:
             if approx > 1.0 + EPS + 1e-10:
@@ -629,16 +571,21 @@ class RTAContext:
             if _pairwise_sum(m_ratios) > 1.0 + EPS:
                 return False
         # The candidate's hp set is the unchanged prefix — no merged
-        # columns needed unless the suffix must be re-checked.  The fluid
-        # lower bound C/(1-U_hp) warm-starts the cold iteration; the tiny
-        # shrink keeps float rounding from overshooting the least fixed
-        # point.
+        # columns needed unless the suffix must be re-checked.  A fluid
+        # lower bound warm-starts the cold iteration.  The map counts jobs
+        # as ceil(R/T - EPS) >= R/T - EPS, so its least fixed point is at
+        # least (C - EPS*sum(C_hp)) / (1 - U_hp) — plain C/(1-U_hp) can
+        # overshoot a fixed point sitting within EPS of a period multiple.
+        # The tiny shrink keeps float rounding from overshooting too.
+        hp_costs = self.costs[:pos]
         hp_util = _pairwise_sum(self.ratios[:pos])
         start = (
-            cost / (1.0 - hp_util) * (1.0 - 1e-12) if hp_util < 1.0 else None
+            (cost - EPS * sum(hp_costs)) / (1.0 - hp_util) * (1.0 - 1e-12)
+            if hp_util < 1.0
+            else None
         )
         r = response_time(
-            cost, self.costs[:pos], self.periods[:pos], deadline, start=start
+            cost, hp_costs, self.periods[:pos], deadline, start=start
         )
         if r is None:
             return False

@@ -31,7 +31,6 @@ _FIELDS = (
     "ctx_requests",       # ProcessorState analysis-context lookups
     "ctx_builds",         # lookups that had to (re)build the context
     "maxsplit_calls",     # MaxSplit searches (both variants)
-    "legacy_admissions",  # full is_schedulable() rebuild-per-probe calls
     # -- admission-control service (repro.service) --------------------------
     "svc_requests",       # HTTP requests handled (all endpoints)
     "svc_cache_hits",     # analysis results served from the LRU cache

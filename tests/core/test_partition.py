@@ -9,7 +9,10 @@ from repro.core.partition import (
     ProcessorRole,
     ProcessorState,
 )
+from repro.core.rmts import partition_rmts
+from repro.core.rta import is_schedulable
 from repro.core.task import Subtask, SubtaskKind, Task, TaskSet
+from repro.taskgen.generators import TaskSetGenerator
 
 
 class TestProcessorState:
@@ -191,6 +194,26 @@ class TestPartitionValidation:
         )
         errors = part.validate()
         assert any("RTA" in e for e in errors)
+
+    def test_rta_rule_ignores_stale_admission_cache(self):
+        """Rule 5 re-runs RTA from scratch: an in-place edit after the
+        processor's analysis context was cached must still be caught."""
+        ts = TaskSetGenerator(n=12).generate(u_norm=0.85, processors=4, seed=3)
+        part = partition_rmts(ts, 4)
+        assert part.success and part.validate() == []
+        proc = max(part.processors, key=lambda p: p.utilization)
+        proc.rta_context()
+        last = proc.subtasks[-1]
+        proc.subtasks[-1] = Subtask(
+            cost=0.999 * last.period,
+            period=last.period,
+            deadline=last.deadline,
+            parent=last.parent,
+            index=last.index,
+            kind=last.kind,
+        )
+        assert not is_schedulable(proc.subtasks)
+        assert f"processor {proc.index}: fails exact RTA" in part.validate()
 
     def test_body_not_highest_priority_detected(self):
         ts = TaskSet.from_pairs([(1, 4), (6, 12)])

@@ -1,21 +1,27 @@
 """Property tests: the incremental RTA context vs the one-shot analysis.
 
 The cached-context admission path (`RTAContext.admits`, `with_subtask`,
-lazy deferred resolution) must be *decision- and value-identical* to the
-straightforward rebuild-per-probe path (`is_schedulable`,
-`response_times`).  These tests drive both on randomized processors —
+lazy deferred resolution, the context-fed MaxSplit variants) must be
+*decision- and value-identical* to the from-scratch references
+(`is_schedulable`, `response_times`, context-free `max_split_points` /
+`max_split_binary`).  These tests drive both on randomized processors —
 random seeds come from hypothesis, the processor contents from a NumPy
 generator derived from them, so failures replay exactly.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import ProcessorState
+from repro.core.maxsplit import max_split_binary, max_split_points
+from repro.core.partition import PendingPiece, ProcessorState
 from repro.core.rta import (
     RTAContext,
     _pairwise_sum,
@@ -26,8 +32,9 @@ from repro.core.rmts import partition_rmts
 from repro.core.rmts_light import partition_rmts_light
 from repro.core.baselines import partition_no_split
 from repro.core.task import Subtask, Task
-from repro.perf import use_incremental_rta
 from repro.taskgen.generators import TaskSetGenerator
+
+GOLDEN = Path(__file__).parent / "data" / "partition_golden.json"
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -147,6 +154,44 @@ class TestContextMatchesOneShot:
         expected = is_schedulable(merged(subs, candidate))
         assert ctx.admits_subtask(candidate) == expected
 
+    @pytest.mark.parametrize(
+        "existing,candidate,expected",
+        [
+            # The candidate's fixed point lies within EPS above 2*T of the
+            # hp task, below the fluid bound C/(1-U_hp).
+            (
+                [(10.206960085452963, 16.95528108340034, 15.50607571192284, 0)],
+                (13.49664201, 40.55554677788712, 40.55554677788712, 1),
+                True,
+            ),
+            # A suffix task's warm start lands just below a job boundary
+            # of the T=41.7155 task and its first step just above it.
+            (
+                [
+                    (2.507016590228472, 25.963788489316364, 20.731061182990924, 0),
+                    (19.519792672653843, 41.71549648471451, 41.71549648471451, 2),
+                    (2.721106030371913, 32.441169138900804, 32.441169138900804, 4),
+                    (9.20265946996096, 42.60396766495565, 42.60396766495565, 6),
+                ],
+                (0.36239987752, 6.0008948183451665, 6.0008948183451665, -1),
+                False,
+            ),
+        ],
+        ids=["fluid-start", "suffix-start"],
+    )
+    def test_admits_at_job_boundaries(self, existing, candidate, expected):
+        """Warm starts near a job boundary give the cold iteration's
+        verdict."""
+
+        def sub(cost, period, deadline, tid):
+            task = Task(cost=cost, period=period, tid=tid)
+            return Subtask(cost=cost, period=period, deadline=deadline, parent=task)
+
+        subs = [sub(*row) for row in existing]
+        cand = sub(*candidate)
+        assert is_schedulable(subs + [cand]) is expected
+        assert RTAContext(subs).admits_subtask(cand) is expected
+
     @given(seed=seeds)
     @settings(max_examples=150, deadline=None)
     def test_with_subtask_equals_fresh_build(self, seed):
@@ -174,17 +219,17 @@ class TestContextMatchesOneShot:
     @given(seed=seeds)
     @settings(max_examples=100, deadline=None)
     def test_probe_memo_commit_equals_fresh_build(self, seed):
-        """A MaxSplit-style probe closure memoizes its last admitted cost;
-        committing that cost must equal a fresh build exactly."""
+        """MaxSplit-style probing (one candidate shape, shrinking cost)
+        memoizes the last admitted cost; committing that cost must equal
+        a fresh build exactly."""
         subs = random_subtasks(seed)
         candidate = random_candidate(seed, len(subs))
         ctx = RTAContext(subs)
-        admit = ctx.admission_probe(
-            candidate.period, candidate.deadline, candidate.priority
-        )
         cost = candidate.cost
         for _ in range(20):
-            if admit(cost):
+            if ctx.admits(
+                cost, candidate.period, candidate.deadline, candidate.priority
+            ):
                 break
             cost *= 0.5
         else:
@@ -217,8 +262,96 @@ class TestContextMatchesOneShot:
         assert_same_context(proc.rta_context(), RTAContext(proc.subtasks))
 
 
+def random_processor(seed: int):
+    """Existing contents for MaxSplit: 1-6 subtasks at total utilization
+    below 0.9, a share of them constrained-deadline pieces (D < T)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    utils = rng.dirichlet(np.ones(n)) * rng.uniform(0.2, 0.9)
+    subs = []
+    for tid, u in enumerate(utils):
+        period = float(rng.uniform(4.0, 64.0))
+        cost = max(float(u) * period, 1e-3)
+        deadline = period
+        if rng.random() < 0.4:
+            deadline = float(min(period, max(cost, rng.uniform(0.6, 1.0) * period)))
+        task = Task(cost=cost, period=period, tid=2 * tid)
+        subs.append(
+            Subtask(cost=cost, period=period, deadline=deadline, parent=task)
+        )
+    return subs
+
+
+def random_piece(seed: int, n_existing: int, below_top: bool) -> PendingPiece:
+    """A pending piece at any priority slot (odd tid), or strictly below
+    the top existing subtask when *below_top* (the RM-TS phase-3 shape);
+    half of them are tails of an earlier split, so their synthetic
+    deadline ``T - body_response`` is below the period."""
+    rng = np.random.default_rng(seed + 4242)
+    period = float(rng.uniform(4.0, 64.0))
+    total = float(rng.uniform(0.1, 0.9) * period)
+    low = 1 if below_top else 0
+    task = Task(
+        cost=total,
+        period=period,
+        tid=2 * int(rng.integers(low, n_existing + 1)) - 1,
+    )
+    if rng.random() < 0.5:
+        return PendingPiece.of(task)
+    body = float(rng.uniform(0.1, 0.5) * total)
+    return PendingPiece(
+        task=task,
+        cost=total - body,
+        index=2,
+        body_cost=body,
+        body_response=body * float(rng.uniform(1.0, 1.5)),
+    )
+
+
+class TestMaxSplitContextMatchesReference:
+    """Both MaxSplit variants return the same float with a context as the
+    context-free reference that re-analyzes every probe from scratch."""
+
+    @given(seed=seeds, below_top=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_points(self, seed, below_top):
+        subs = random_processor(seed)
+        piece = random_piece(seed, len(subs), below_top)
+        expected = max_split_points(subs, piece)
+        assert max_split_points(subs, piece, context=RTAContext(subs)) == expected
+
+    @given(seed=seeds, below_top=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_binary(self, seed, below_top):
+        subs = random_processor(seed)
+        piece = random_piece(seed, len(subs), below_top)
+        expected = max_split_binary(subs, piece)
+        assert max_split_binary(subs, piece, context=RTAContext(subs)) == expected
+
+
+def partition_fingerprint(result):
+    """``success``, ``unassigned_tids`` and a sha256 over the ``repr`` of
+    every processor's ``(cost, period, deadline, priority)`` tuples."""
+    rows = [
+        [(s.cost, s.period, s.deadline, s.priority) for s in p.subtasks]
+        for p in result.processors
+    ]
+    return {
+        "success": result.success,
+        "unassigned_tids": list(result.unassigned_tids),
+        "sha256": hashlib.sha256(repr(rows).encode()).hexdigest(),
+    }
+
+
 class TestEndToEndPartitionEquality:
-    """Partitioning with the incremental engine on/off is indistinguishable."""
+    """Partitions are pinned to a golden record.
+
+    ``data/partition_golden.json`` was recorded at commit d3fcd90, the
+    last revision with the rebuild-per-probe admission path, after
+    asserting that both admission paths gave the same partition on every
+    case.  Any change to the cached path that moves one float of one
+    partition fails here.
+    """
 
     algorithms = [
         ("rmts", lambda ts, m: partition_rmts(ts, m)),
@@ -229,23 +362,10 @@ class TestEndToEndPartitionEquality:
 
     @pytest.mark.parametrize("name,algo", algorithms, ids=[a[0] for a in algorithms])
     def test_partitions_identical(self, name, algo):
+        golden = json.loads(GOLDEN.read_text())
         gen = TaskSetGenerator(n=12, period_model="loguniform")
         for seed in range(8):
             for u_norm in (0.7, 0.85, 0.97):
                 ts = gen.generate(u_norm=u_norm, processors=4, seed=seed)
-                with use_incremental_rta(False):
-                    legacy = algo(ts, 4)
-                with use_incremental_rta(True):
-                    incremental = algo(ts, 4)
-                assert legacy.success == incremental.success
-                assert legacy.unassigned_tids == incremental.unassigned_tids
-                for p_legacy, p_inc in zip(
-                    legacy.processors, incremental.processors
-                ):
-                    assert [
-                        (s.cost, s.period, s.deadline, s.priority)
-                        for s in p_legacy.subtasks
-                    ] == [
-                        (s.cost, s.period, s.deadline, s.priority)
-                        for s in p_inc.subtasks
-                    ]
+                key = f"{name}/seed={seed}/u={u_norm}"
+                assert partition_fingerprint(algo(ts, 4)) == golden[key], key
