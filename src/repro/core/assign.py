@@ -9,13 +9,31 @@ to the next processor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro._util.floats import EPS
 from repro.core.admission import AdmissionPolicy
 from repro.core.partition import PendingPiece, ProcessorState
 from repro.core.rta import response_time
 
-__all__ = ["AssignOutcome", "assign_piece"]
+__all__ = ["AssignOutcome", "assign_piece", "least_loaded"]
+
+
+def least_loaded(procs: Sequence[ProcessorState]) -> ProcessorState:
+    """The worst-fit choice: least assigned utilization, ties to the
+    lowest index — ``min(procs, key=lambda p: (p.utilization, p.index))``
+    as a plain loop, without a key call per processor."""
+    target = procs[0]
+    best = target.utilization
+    for proc in procs:
+        u = proc.utilization
+        if u < best or (
+            u == best  # repro-lint: disable=R1 (exact tie-break of the (utilization, index) key)
+            and proc.index < target.index
+        ):
+            target = proc
+            best = u
+    return target
 
 
 def _body_response(
@@ -45,7 +63,7 @@ def _body_response(
     return r if r is not None else cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AssignOutcome:
     """What happened when a piece met a processor."""
 
@@ -59,6 +77,21 @@ class AssignOutcome:
     #: deadline has been consumed entirely by body responses.  The caller
     #: must drop the task as unassigned.
     infeasible: bool = False
+
+    def __init__(
+        self,
+        completed: bool,
+        filled: bool,
+        placed_cost: float,
+        infeasible: bool = False,
+    ) -> None:
+        # One outcome per Assign call: stored directly instead of through
+        # the generated frozen ``__init__``'s ``object.__setattr__`` calls.
+        d = self.__dict__
+        d["completed"] = completed
+        d["filled"] = filled
+        d["placed_cost"] = placed_cost
+        d["infeasible"] = infeasible
 
 
 def assign_piece(

@@ -80,9 +80,15 @@ def partition_no_split(
         if heuristic is FitHeuristic.FIRST_FIT:
             # Lazy scan: first-fit only needs the first feasible processor
             # (procs are in index order), so stop probing at the first admit.
-            target = next(
-                (p for p in procs if _admits(p, candidate, admission)), None
-            )
+            if admission == "rta":
+                target = next(
+                    (p for p in procs if p.schedulable_with(candidate)), None
+                )
+            else:
+                target = next(
+                    (p for p in procs if _admits(p, candidate, admission)),
+                    None,
+                )
         else:
             feasible = [p for p in procs if _admits(p, candidate, admission)]
             if feasible:

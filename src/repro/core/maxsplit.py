@@ -37,8 +37,8 @@ against.  Results are bit-identical either way.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import floor
-from typing import List, Optional, Sequence
+from math import ceil, floor, inf
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,8 +50,14 @@ from repro.perf.telemetry import COUNTERS
 
 __all__ = ["max_split_binary", "max_split_points", "max_split"]
 
-#: Relative precision of the binary-search variant.
+#: Relative precision and default bisection count of the binary-search
+#: variant.
 _BINARY_REL_TOL = 1e-10
+_BINARY_ITERATIONS = 64
+
+#: Most scheduling points one constraint of :func:`max_split_points` may
+#: enumerate; beyond it the call falls back to the binary search.
+_MAX_POINTS = 1 << 16
 
 
 def _candidate(piece: PendingPiece, cost: float) -> Subtask:
@@ -75,7 +81,7 @@ def max_split_binary(
     existing: Sequence[Subtask],
     piece: PendingPiece,
     *,
-    iterations: int = 64,
+    iterations: int = _BINARY_ITERATIONS,
     context: Optional[RTAContext] = None,
 ) -> float:
     """Maximal admissible front cost by binary search over ``[0, C]``.
@@ -90,6 +96,16 @@ def max_split_binary(
     reuses it; without, each probe analyzes from scratch (the reference).
     """
     COUNTERS.maxsplit_calls += 1
+    return _bisect(existing, piece, iterations, context)
+
+
+def _bisect(
+    existing: Sequence[Subtask],
+    piece: PendingPiece,
+    iterations: int,
+    context: Optional[RTAContext],
+) -> float:
+    """:func:`max_split_binary` without the call counter."""
     if piece.cost <= 0:
         return 0.0
     if context is not None:
@@ -126,6 +142,43 @@ def max_split_binary(
     return lo
 
 
+def _point_count(periods: Iterable[float], deadline: float) -> int:
+    """How many scheduling points :func:`_scheduling_points` enumerates
+    before deduplication: the deadline plus every period multiple."""
+    count = 1
+    for t in periods:
+        count += floor(deadline / t + EPS)
+    return count
+
+
+def _over_point_cap(
+    hp_periods: Sequence[float],
+    lp_periods: Sequence[float],
+    lp_deadlines: Sequence[float],
+    period_new: float,
+    deadline: float,
+) -> bool:
+    """Whether any constraint of a scheduling-point search would enumerate
+    more than :data:`_MAX_POINTS` points.
+
+    The piece's own constraint ranges over the hp periods up to its
+    *deadline*; the j-th lower-priority constraint over the hp periods,
+    the lp periods before j and the newcomer's, up to its own deadline.
+    One count over every period up to the largest deadline bounds them
+    all, so the exact per-constraint counts are only taken past it.
+    """
+    top = max([deadline, *lp_deadlines])
+    if _point_count([*hp_periods, *lp_periods, period_new], top) <= _MAX_POINTS:
+        return False
+    if _point_count(hp_periods, deadline) > _MAX_POINTS:
+        return True
+    return any(
+        _point_count([*hp_periods, *lp_periods[:idx], period_new], dl_j)
+        > _MAX_POINTS
+        for idx, dl_j in enumerate(lp_deadlines)
+    )
+
+
 def _scheduling_points(periods: np.ndarray, deadline: float) -> np.ndarray:
     """Lehoczky/Sha/Ding test points: every period multiple up to the
     deadline, plus the deadline itself.
@@ -146,8 +199,7 @@ def _scheduling_points_fast(periods: List[float], deadline: float) -> np.ndarray
     set/sort instead of ``np.unique``'s array machinery."""
     points = {deadline}
     for t in periods:
-        m = floor(deadline / t + EPS)
-        points.update(t * k for k in range(1, m + 1))
+        points.update(map(t.__mul__, range(1, floor(deadline / t + EPS) + 1)))
     return np.array(sorted(points), dtype=float)
 
 
@@ -179,6 +231,11 @@ def max_split_points(
     Higher-priority tasks are unaffected by the newcomer.  The result is
     the minimum over all constraints, clipped to ``[0, C]``.
 
+    A constraint with more than :data:`_MAX_POINTS` scheduling points
+    (a huge period ratio) would exhaust memory; such a call is answered
+    by the binary search instead, feasible to within its relative
+    tolerance and still counted as one MaxSplit call.
+
     With *context* the priority-sorted columns are read as slices of the
     cached existing-set prefix (no per-call sorting or concatenation).
     """
@@ -187,84 +244,28 @@ def max_split_points(
         return 0.0
     prio = piece.task.tid
     period_new = piece.task.period
-
+    dl = piece.deadline
     if context is not None:
-        # The hp set of the j-th lower-priority task is exactly the sorted
-        # prefix of the cached columns, analyzed without re-sorting per
-        # search; the arrays feed the scheduling-point evaluation only.
-        pos = bisect_right(context.prio_list, prio)
-        all_costs = np.array(context.costs, dtype=float)
-        all_periods = np.array(context.periods, dtype=float)
-        period_list = context.periods
-        hp_costs = all_costs[:pos]
-        hp_periods = all_periods[:pos]
-        lp_costs = context.costs[pos:]
-        lp_deadlines = context.deadlines[pos:]
-        n_lp = len(lp_costs)
-
-        # The result is min(best, C) in the end, so a constraint whose cap
-        # provably reaches C cannot bind.  Evaluating the slack at the
-        # single point t = Delta_j lower-bounds the cap (the deadline is
-        # always in the point set); if even that clears C — with a margin
-        # far above any summation-order ulp between this dot product and
-        # the vectorized full evaluation — the whole point enumeration for
-        # that constraint is skipped, leaving the final value unchanged.
-        skip_at = piece.cost * (1.0 + 1e-9) + 1e-9
-        best = np.inf
-
-        dl = piece.deadline
-        quick = dl - (
-            float(np.dot(np.ceil(dl / hp_periods - EPS), hp_costs))
-            if pos
-            else 0.0
-        )
-        if quick < skip_at:
-            pts = _scheduling_points_fast(period_list[:pos], dl)
-            slack = pts - _interference(pts, hp_costs, hp_periods)
-            best = float(slack.max()) if slack.size else dl
-
-        for idx in range(n_lp):
-            j = pos + idx
-            dl_j = lp_deadlines[idx]
-            interf = (
-                float(np.dot(np.ceil(dl_j / all_periods[:j] - EPS), all_costs[:j]))
-                if j
-                else 0.0
-            )
-            denom_dl = np.ceil(dl_j / period_new - EPS)
-            if denom_dl > 0:
-                quick = (dl_j - lp_costs[idx] - interf) / denom_dl
-                if quick >= skip_at:
-                    continue
-            pts = _scheduling_points_fast(
-                period_list[:j] + [period_new],
-                dl_j,
-            )
-            numer = (
-                pts
-                - lp_costs[idx]
-                - _interference(pts, all_costs[:j], all_periods[:j])
-            )
-            denom = np.ceil(pts / period_new - EPS)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                limits = numer / denom
-            cap = float(limits.max()) if limits.size else 0.0
-            best = min(best, cap)
-            if best <= 0.0:
-                return 0.0
-
-        return float(min(max(best, 0.0), piece.cost))
+        return _points_on_context(existing, piece, context, prio, period_new, dl)
 
     ordered = sorted(existing, key=lambda s: s.priority)
     hp = [s for s in ordered if s.priority < prio]
     lp = [s for s in ordered if s.priority > prio]
+    if _over_point_cap(
+        [s.period for s in hp],
+        [s.period for s in lp],
+        [s.deadline for s in lp],
+        period_new,
+        dl,
+    ):
+        return _bisect(existing, piece, _BINARY_ITERATIONS, None)
     hp_costs = np.array([s.cost for s in hp], dtype=float)
     hp_periods = np.array([s.period for s in hp], dtype=float)
 
     # Constraint from the incoming piece's own synthetic deadline.
-    pts = _scheduling_points(hp_periods, piece.deadline)
+    pts = _scheduling_points(hp_periods, dl)
     slack = pts - _interference(pts, hp_costs, hp_periods)
-    best = float(slack.max()) if slack.size else piece.deadline
+    best = float(slack.max()) if slack.size else dl
 
     # Constraints from each lower-priority task on the processor.
     for idx, sub in enumerate(lp):
@@ -285,6 +286,84 @@ def max_split_points(
         best = min(best, cap)
         if best <= 0.0:
             return 0.0
+
+    return float(min(max(best, 0.0), piece.cost))
+
+
+def _points_on_context(
+    existing: Sequence[Subtask],
+    piece: PendingPiece,
+    context: RTAContext,
+    prio: int,
+    period_new: float,
+    dl: float,
+) -> float:
+    """The context path of :func:`max_split_points`.
+
+    The hp set of the j-th lower-priority task is exactly the sorted
+    prefix of the cached columns.  The result is ``min(best, C)`` in the
+    end, so a constraint whose cap provably reaches ``C`` cannot bind:
+    its slack at the single point ``t = Delta_j`` lower-bounds the cap
+    (the deadline is always in the point set), and if even that clears
+    ``C`` — with a margin far above any summation-order ulp between this
+    scalar sum and the vectorized evaluation — the point enumeration for
+    that constraint is skipped, leaving the final value unchanged.  These
+    screens run on the context's float lists; NumPy arrays are built only
+    for a constraint that needs the exact evaluation, which keeps the
+    ``jobs @ costs`` shapes of the reference (BLAS rounds a row of a
+    matrix-vector product differently depending on the matrix height, so
+    a per-point scalar evaluation would not be bit-identical).
+    """
+    pos = bisect_right(context.prio_list, prio)
+    costs = context.costs
+    periods = context.periods
+    deadlines = context.deadlines
+    if _over_point_cap(
+        periods[:pos], periods[pos:], deadlines[pos:], period_new, dl
+    ):
+        return _bisect(existing, piece, _BINARY_ITERATIONS, context)
+    skip_at = piece.cost * (1.0 + 1e-9) + 1e-9
+    best = inf
+    all_costs: Optional[np.ndarray] = None
+    all_periods: Optional[np.ndarray] = None
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interf = 0.0
+        for i in range(pos):
+            interf += ceil(dl / periods[i] - EPS) * costs[i]
+        if dl - interf < skip_at:
+            if pos:
+                all_costs = np.array(costs, dtype=float)
+                all_periods = np.array(periods, dtype=float)
+                pts = _scheduling_points_fast(periods[:pos], dl)
+                slack = pts - _interference(pts, all_costs[:pos], all_periods[:pos])
+                best = float(slack.max())
+            else:
+                # No hp set: the lone point t = Delta, free of interference.
+                best = dl
+
+        for j in range(pos, len(costs)):
+            dl_j = deadlines[j]
+            cost_j = costs[j]
+            denom_dl = ceil(dl_j / period_new - EPS)
+            if denom_dl > 0:
+                interf = 0.0
+                for i in range(j):
+                    interf += ceil(dl_j / periods[i] - EPS) * costs[i]
+                if (dl_j - cost_j - interf) / denom_dl >= skip_at:
+                    continue
+            if all_costs is None or all_periods is None:
+                all_costs = np.array(costs, dtype=float)
+                all_periods = np.array(periods, dtype=float)
+            pts = _scheduling_points_fast(periods[:j] + [period_new], dl_j)
+            numer = pts - cost_j
+            if j:
+                numer = numer - _interference(pts, all_costs[:j], all_periods[:j])
+            limits = numer / np.ceil(pts / period_new - EPS)
+            cap = float(limits.max()) if limits.size else 0.0
+            best = min(best, cap)
+            if best <= 0.0:
+                return 0.0
 
     return float(min(max(best, 0.0), piece.cost))
 

@@ -38,7 +38,7 @@ from typing import Deque, List, Optional, Union
 
 from repro._util.floats import EPS, approx_le
 from repro.core.admission import AdmissionPolicy, ExactRTAAdmission
-from repro.core.assign import assign_piece
+from repro.core.assign import assign_piece, least_loaded
 from repro.core.bounds import (
     ParametricUtilizationBound,
     LiuLaylandBound,
@@ -233,7 +233,7 @@ def partition_rmts(
     ]
     while queue and open_normal:
         piece = queue[0]
-        target = min(open_normal, key=lambda p: (p.utilization, p.index))
+        target = least_loaded(open_normal)
         outcome = assign_piece(piece, target, policy)
         if target.full:
             open_normal.remove(target)

@@ -29,7 +29,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.core.admission import AdmissionPolicy, ExactRTAAdmission
-from repro.core.assign import assign_piece
+from repro.core.assign import assign_piece, least_loaded
 from repro.core.bounds import light_task_threshold
 from repro.core.partition import PartitionResult, PendingPiece, ProcessorState
 from repro.core.task import TaskSet
@@ -107,7 +107,7 @@ def partition_rmts_light(
     while queue and open_procs:
         piece = queue[0]
         if placement == "worst_fit":
-            target = min(open_procs, key=lambda p: (p.utilization, p.index))
+            target = least_loaded(open_procs)
         else:
             target = min(open_procs, key=lambda p: p.index)
         outcome = assign_piece(piece, target, policy)

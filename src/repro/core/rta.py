@@ -337,10 +337,13 @@ class RTAContext:
     response values are bit-identical to the rebuild-from-scratch path
     (property-tested in ``tests/core/test_rta_incremental.py``).
 
-    The context is logically immutable once built — internal state only
-    moves monotonically from "deferred" to "computed" (:meth:`_resolve`,
-    the probe memo); :class:`ProcessorState` owns invalidation (any
-    mutation of the subtask list drops its cached context).
+    A context is owned by one
+    :class:`~repro.core.partition.ProcessorState`, which extends it in
+    place through :meth:`insert` on every ``add`` and drops it on any
+    other mutation of the subtask list; :meth:`with_subtask` is the
+    copying form for callers that must keep the original.  Between
+    mutations internal state only moves from "deferred" to "computed"
+    (:meth:`_resolve`, the probe memo).
     """
 
     __slots__ = (
@@ -374,6 +377,18 @@ class RTAContext:
     _memo: Optional[_Memo]
 
     def __init__(self, subtasks: Sequence[Subtask]) -> None:
+        if not subtasks:
+            # The common build — a processor's first probe — set directly:
+            # the state the general path below reaches for no subtasks.
+            self.costs, self.periods, self.deadlines = [], [], []
+            self.ratios, self.prio_list, self.responses = [], [], []
+            self._prios = None
+            self._memo = None
+            self.util_sum = 0.0
+            self.implicit = self.rm_ordered = True
+            self.hyper_prod = 1.0
+            self.first_fail = -1
+            return
         # Stable sort on priority: the same order as :func:`rta_arrays`.
         ordered = sorted(subtasks, key=lambda s: s.priority)
         self.costs = costs = [float(s.cost) for s in ordered]
@@ -437,7 +452,7 @@ class RTAContext:
     def _resolve(self) -> int:
         """Run the deferred exact RTA of any NaN response slots.
 
-        Lazy extensions (:meth:`with_subtask` on the general path) postpone
+        Lazy extensions (:meth:`insert` on the general path) postpone
         the suffix re-analysis: a body subtask lands on a processor that is
         marked full right after, so the fixed points are usually never
         needed again.  When they are — a later probe, a schedulability
@@ -471,18 +486,6 @@ class RTAContext:
     def utilization(self) -> float:
         """Assigned utilization, summed in priority order."""
         return self.util_sum
-
-    def _hyper_applies(self, pos: int, period: float, deadline: float) -> bool:
-        """Whether the hyperbolic pre-accept covers a candidate at sorted
-        position *pos*: nothing split, and RM order kept by the insert."""
-        periods = self.periods
-        return (
-            self.implicit
-            and self.rm_ordered
-            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
-            and (pos == 0 or periods[pos - 1] <= period)
-            and (pos == len(periods) or period <= periods[pos])
-        )
 
     def _suffix(
         self,
@@ -537,7 +540,7 @@ class RTAContext:
         via (in order): the hyperbolic sufficient accept, the necessary
         utilization reject, and the prefix-reusing exact RTA.  Both
         admission (Assign) and the binary MaxSplit search probe through
-        here; an admitted candidate is memoized for :meth:`with_subtask`.
+        here; an admitted candidate is memoized for :meth:`insert`.
         """
         COUNTERS.admission_probes += 1
         if self.first_fail == -3:
@@ -549,11 +552,17 @@ class RTAContext:
         # candidate appended last (ties cannot occur for valid partitions,
         # but the probe must mirror the from-scratch analysis regardless).
         pos = bisect_right(self.prio_list, priority)
+        periods = self.periods
         if (
-            self._hyper_applies(pos, period, deadline)
+            self.implicit
+            and self.rm_ordered
+            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
+            and (pos == 0 or periods[pos - 1] <= period)
+            and (pos == len(periods) or period <= periods[pos])
             and self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9
         ):
-            # Hyperbolic sufficient accept (Bini-Buttazzo): implies the
+            # Hyperbolic sufficient accept (Bini-Buttazzo), in scope when
+            # nothing is split and the insert keeps RM order: implies the
             # exact-RTA accept, so the decision is unchanged; the margin
             # keeps float rounding from crossing the bound's edge.
             COUNTERS.hyper_accepts += 1
@@ -584,18 +593,16 @@ class RTAContext:
             if hp_util < 1.0
             else None
         )
-        r = response_time(
-            cost, hp_costs, self.periods[:pos], deadline, start=start
-        )
+        r = response_time(cost, hp_costs, periods[:pos], deadline, start=start)
         if r is None:
             return False
         merged = self.responses[:pos]
         merged.append(r)
         period = float(period)
-        if pos < len(self.costs):
+        if pos < len(periods):
             m_costs = self.costs.copy()
             m_costs.insert(pos, float(cost))
-            m_periods = self.periods.copy()
+            m_periods = periods.copy()
             m_periods.insert(pos, period)
             if not self._suffix(merged, pos, cost, period, m_costs, m_periods):
                 return False
@@ -611,9 +618,9 @@ class RTAContext:
             candidate.priority,
         )
 
-    def with_subtask(self, candidate: Subtask) -> "RTAContext":
-        """A new context with *candidate* inserted — the incremental
-        counterpart of rebuilding from the extended subtask list.
+    def insert(self, candidate: Subtask) -> None:
+        """Insert *candidate* in place — the incremental counterpart of
+        rebuilding from the extended subtask list.
 
         The unchanged higher-priority prefix keeps its cached responses
         verbatim; the candidate and the lower-priority suffix are settled
@@ -622,39 +629,37 @@ class RTAContext:
         values are bit-identical to a fresh build (same columns, same
         iteration maps, same reductions), so
         :meth:`ProcessorState.add <repro.core.partition.ProcessorState.add>`
-        can maintain its cache in O(n) instead of O(n^2) per mutation.
+        maintains its cache in O(n) instead of O(n^2) per mutation.
         """
-        new = RTAContext.__new__(RTAContext)
         pos = bisect_right(self.prio_list, candidate.priority)
         cost = float(candidate.cost)
         period = float(candidate.period)
         deadline = float(candidate.deadline)
         u_c = cost / period
         periods = self.periods
-        new.costs = self.costs.copy()
-        new.costs.insert(pos, cost)
-        new.periods = periods.copy()
-        new.periods.insert(pos, period)
-        new.deadlines = self.deadlines.copy()
-        new.deadlines.insert(pos, deadline)
-        new.ratios = self.ratios.copy()
-        new.ratios.insert(pos, u_c)
-        new._prios = None
-        new.util_sum = _pairwise_sum(new.ratios)
-        new.prio_list = self.prio_list.copy()
-        new.prio_list.insert(pos, candidate.priority)
-        new.implicit = self.implicit and deadline == period  # repro-lint: disable=R1 (structural: split pieces have D < T)
-        new.rm_ordered = (
+        n = len(periods) + 1  # size after the insert
+        # Branch on the state *before* the insert.
+        old_prod = self.hyper_prod
+        old_fail = self.first_fail
+        rm_ordered = (
             self.rm_ordered
             and (pos == 0 or periods[pos - 1] <= period)
-            and (pos == len(periods) or period <= periods[pos])
+            and (pos == n - 1 or period <= periods[pos])
         )
+        self.costs.insert(pos, cost)
+        periods.insert(pos, period)
+        self.deadlines.insert(pos, deadline)
+        self.ratios.insert(pos, u_c)
+        self.prio_list.insert(pos, candidate.priority)
+        self._prios = None
+        self.util_sum = _pairwise_sum(self.ratios)
+        self.implicit = implicit = self.implicit and deadline == period  # repro-lint: disable=R1 (structural: split pieces have D < T)
+        self.rm_ordered = rm_ordered
         # Maintained as a running product: may drift from a fresh
         # sequential product by ulps, which the pre-accept margin absorbs.
-        new.hyper_prod = self.hyper_prod * (1.0 + u_c) if new.implicit else inf
-        new._memo = None
-        n = len(new.costs)
+        self.hyper_prod = old_prod * (1.0 + u_c) if implicit else inf
         memo = self._memo
+        self._memo = None
         if (
             memo is not None
             and memo[0] == cost
@@ -664,41 +669,65 @@ class RTAContext:
         ):
             # The candidate was just admitted through a probe of this very
             # context; its merged fixed points are already exact.
-            new.responses = memo[4]
-            new.first_fail = -1
+            self.responses = memo[4]
+            self.first_fail = -1
             COUNTERS.ctx_memo_hits += 1
-            return new
+            return
+        responses = self.responses
         if (
-            new.implicit
-            and new.rm_ordered
-            and self.first_fail == -1
-            and self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9
+            implicit
+            and rm_ordered
+            and old_fail == -1
+            and old_prod * (1.0 + u_c) <= 2.0 - 1e-9
         ):
             # Hyperbolic sufficient accept: schedulability is settled, so
             # fixed points need not be computed now.  NaN responses mean
             # "no cached value" — later probes cold-start those slots.
-            new.responses = self.responses[:pos] + [nan] * (n - pos)
-            new.first_fail = -1
-            return new
-        if new.util_sum > 1.0 + EPS:
-            new.responses = [nan] * n
-            new.first_fail = -2
-            return new
-        if 0 <= self.first_fail < pos:
+            responses[pos:] = [nan] * (n - pos)
+            self.first_fail = -1
+            return
+        if self.util_sum > 1.0 + EPS:
+            self.responses = [nan] * n
+            self.first_fail = -2
+            return
+        if 0 <= old_fail < pos:
             # The old failure is in the unchanged prefix; it fails
             # identically in the extended set.
-            keep = self.first_fail
-            new.responses = self.responses[:keep] + [nan] * (n - keep)
-            new.first_fail = keep
-            return new
+            responses[old_fail:] = [nan] * (n - old_fail)
+            return
         # General path: defer the exact analysis.  This case is dominated
         # by body subtasks landing on a processor that is marked full
         # immediately afterwards (Algorithm 2), so the new fixed points are
         # usually never consulted; :meth:`_resolve` computes any slot that
         # is later needed, bit-identically to a fresh build.  The valid
         # prefix responses are kept (NaN slots stay "unknown").
-        new.responses = self.responses[:pos] + [nan] * (n - pos)
-        new.first_fail = -3
+        responses[pos:] = [nan] * (n - pos)
+        self.first_fail = -3
+
+    def with_subtask(self, candidate: Subtask) -> "RTAContext":
+        """A new context with *candidate* inserted (:meth:`insert` on a
+        copy); this context is left untouched and shares no list with
+        the result."""
+        new = RTAContext.__new__(RTAContext)
+        new.costs = self.costs.copy()
+        new.periods = self.periods.copy()
+        new.deadlines = self.deadlines.copy()
+        new._prios = None
+        new.ratios = self.ratios.copy()
+        new.util_sum = self.util_sum
+        new.prio_list = self.prio_list.copy()
+        new.implicit = self.implicit
+        new.rm_ordered = self.rm_ordered
+        new.hyper_prod = self.hyper_prod
+        new.responses = self.responses.copy()
+        new.first_fail = self.first_fail
+        memo = self._memo
+        new._memo = (
+            None
+            if memo is None
+            else (memo[0], memo[1], memo[2], memo[3], memo[4].copy())
+        )
+        new.insert(candidate)
         return new
 
 

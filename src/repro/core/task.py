@@ -29,7 +29,7 @@ import numpy as np
 
 from repro._util.floats import EPS, is_close, is_integer_multiple
 from repro._util.invariants import check_taskset, invariants_enabled
-from repro._util.validation import check_positive, check_nonnegative
+from repro._util.validation import check_positive
 
 
 class SubtaskKind(enum.Enum):
@@ -44,7 +44,7 @@ class SubtaskKind(enum.Enum):
     TAIL = "tail"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Task:
     """An L&L task ``<C, T>`` with implicit deadline ``D = T``.
 
@@ -67,13 +67,26 @@ class Task:
     tid: int = 0
     name: str = ""
 
-    def __post_init__(self) -> None:
-        check_positive("cost", self.cost)
-        check_positive("period", self.period)
-        if self.cost > self.period * (1.0 + EPS):
+    def __init__(
+        self, cost: float, period: float, tid: int = 0, name: str = ""
+    ) -> None:
+        # Hand-written (the class is ``init=False``): the generated frozen
+        # ``__init__`` stores each field through ``object.__setattr__``
+        # and then calls ``__post_init__``.  Same checks and messages as
+        # :func:`~repro._util.validation.check_positive` (NaN rejected).
+        if not cost > 0:
+            raise ValueError(f"cost must be positive, got {cost!r}")
+        if not period > 0:
+            raise ValueError(f"period must be positive, got {period!r}")
+        if cost > period * (1.0 + EPS):
             raise ValueError(
-                f"task utilization exceeds 1: C={self.cost} > T={self.period}"
+                f"task utilization exceeds 1: C={cost} > T={period}"
             )
+        d = self.__dict__
+        d["cost"] = cost
+        d["period"] = period
+        d["tid"] = tid
+        d["name"] = name
 
     @property
     def utilization(self) -> float:
@@ -118,7 +131,7 @@ class Task:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subtask:
     """A piece ``tau_i^k = <C^k, T, Delta^k>`` of a (possibly split) task.
 
@@ -135,14 +148,36 @@ class Subtask:
     index: int = 1
     kind: SubtaskKind = SubtaskKind.WHOLE
 
-    def __post_init__(self) -> None:
-        check_nonnegative("cost", self.cost)
-        check_positive("period", self.period)
-        check_positive("deadline", self.deadline)
-        if self.deadline > self.period * (1.0 + EPS):
+    def __init__(
+        self,
+        cost: float,
+        period: float,
+        deadline: float,
+        parent: Task,
+        index: int = 1,
+        kind: SubtaskKind = SubtaskKind.WHOLE,
+    ) -> None:
+        # Hand-written like :class:`Task`'s: partitioning builds a subtask
+        # per admission candidate and split piece.  The cost check is
+        # ``check_nonnegative``'s (NaN passes), the others
+        # ``check_positive``'s (NaN rejected).
+        if cost < 0:
+            raise ValueError(f"cost must be non-negative, got {cost!r}")
+        if not period > 0:
+            raise ValueError(f"period must be positive, got {period!r}")
+        if not deadline > 0:
+            raise ValueError(f"deadline must be positive, got {deadline!r}")
+        if deadline > period * (1.0 + EPS):
             raise ValueError("synthetic deadline cannot exceed the period")
-        if self.index < 1:
+        if index < 1:
             raise ValueError("subtask index starts at 1")
+        d = self.__dict__
+        d["cost"] = cost
+        d["period"] = period
+        d["deadline"] = deadline
+        d["parent"] = parent
+        d["index"] = index
+        d["kind"] = kind
 
     @property
     def priority(self) -> int:
@@ -169,14 +204,7 @@ class Subtask:
     @staticmethod
     def whole(task: Task) -> "Subtask":
         """The trivial subtask covering an unsplit task (``Delta = T``)."""
-        return Subtask(
-            cost=task.cost,
-            period=task.period,
-            deadline=task.period,
-            parent=task,
-            index=1,
-            kind=SubtaskKind.WHOLE,
-        )
+        return Subtask(task.cost, task.period, task.period, task)
 
 
 class TaskSet:

@@ -44,6 +44,10 @@ E2E_GATE_CMD = (
     "python3 e2ebench/run.py --workload sweep-e3 --seed 1 --seconds 2 "
     "--trace 0"
 )
+E2E_CHURN_GATE_CMD = (
+    "python3 e2ebench/run.py --workload churn-journal --seed 1 --seconds 2 "
+    "--trace 0"
+)
 
 
 def test_workflow_files_exist():
@@ -308,11 +312,12 @@ def test_scripts_wrapper_is_what_nightly_invokes():
 
 
 def test_ci_runs_the_e2ebench_gate_as_documented():
-    """The end-to-end benchmark's self-tests and its sweep reference
-    gate run in CI exactly as CONTRIBUTING.md documents them."""
+    """The end-to-end benchmark's self-tests and its sweep and churn
+    reference gates run in CI exactly as CONTRIBUTING.md documents
+    them."""
     text = CI.read_text()
     assert "e2ebench:" in text, "CI must have an e2ebench job"
     docs = (ROOT / "CONTRIBUTING.md").read_text()
-    for cmd in (E2E_TESTS_CMD, E2E_GATE_CMD):
+    for cmd in (E2E_TESTS_CMD, E2E_GATE_CMD, E2E_CHURN_GATE_CMD):
         assert cmd in text, f"ci.yml missing: {cmd}"
         assert cmd in docs, f"CONTRIBUTING.md missing: {cmd}"

@@ -1,6 +1,8 @@
 """Unit tests for the task model (Task, Subtask, TaskSet, SplitTaskView)."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -251,3 +253,108 @@ class TestTaskSetProperties:
         assert scaled.total_utilization == pytest.approx(
             ts.total_utilization * factor
         )
+
+
+class TestValueObjectContract:
+    """``Task`` and ``Subtask`` use hand-written constructors; they keep the
+    dataclass contract: the same checks and messages, frozen fields,
+    eq/hash/repr, ``dataclasses.replace`` and pickling."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(cost=0.0, period=1.0), "cost must be positive, got 0.0"),
+            (dict(cost=-1.0, period=1.0), "cost must be positive, got -1.0"),
+            (dict(cost=1.0, period=0.0), "period must be positive, got 0.0"),
+            (dict(cost=NAN, period=1.0), "cost must be positive, got nan"),
+            (dict(cost=1.0, period=NAN), "period must be positive, got nan"),
+            (
+                dict(cost=2.0, period=1.0),
+                "task utilization exceeds 1: C=2.0 > T=1.0",
+            ),
+        ],
+    )
+    def test_task_error_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            Task(**kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(cost=-1.0), "cost must be non-negative, got -1.0"),
+            (dict(period=0.0), "period must be positive, got 0.0"),
+            (dict(period=NAN), "period must be positive, got nan"),
+            (dict(deadline=0.0), "deadline must be positive, got 0.0"),
+            (dict(deadline=NAN), "deadline must be positive, got nan"),
+            (dict(deadline=6.0), "synthetic deadline cannot exceed the period"),
+            (dict(index=0), "subtask index starts at 1"),
+        ],
+    )
+    def test_subtask_error_messages(self, kwargs, message):
+        fields = dict(
+            cost=1.0, period=5.0, deadline=5.0, parent=Task(cost=1.0, period=5.0)
+        )
+        fields.update(kwargs)
+        with pytest.raises(ValueError) as err:
+            Subtask(**fields)
+        assert str(err.value) == message
+
+    def test_nan_subtask_cost_is_accepted_as_before(self):
+        # check_nonnegative semantics: NaN is not < 0.
+        t = Task(cost=1.0, period=5.0)
+        s = Subtask(cost=self.NAN, period=5.0, deadline=5.0, parent=t)
+        assert s.cost != s.cost
+
+    def test_positional_and_default_arguments(self):
+        t = Task(2.0, 10.0)
+        assert (t.tid, t.name) == (0, "")
+        s = Subtask(1.0, 10.0, 8.0, t)
+        assert (s.index, s.kind) == (1, SubtaskKind.WHOLE)
+        with pytest.raises(TypeError):
+            Task(1.0)  # type: ignore[call-arg]
+
+    def test_assignment_raises_frozen_instance_error(self):
+        t = Task(cost=1.0, period=5.0, tid=2, name="x")
+        s = Subtask(cost=1.0, period=5.0, deadline=4.0, parent=t, index=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.cost = 2.0  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.deadline = 3.0  # type: ignore[misc]
+
+    def test_eq_hash_repr(self):
+        t = Task(cost=1.0, period=5.0, tid=2, name="x")
+        assert t == Task(1.0, 5.0, 2, "x")
+        assert hash(t) == hash(Task(1.0, 5.0, 2, "x"))
+        assert t != Task(1.0, 5.0, 3, "x")
+        assert repr(t) == "Task(cost=1.0, period=5.0, tid=2, name='x')"
+        s = Subtask(1.0, 5.0, 4.0, t, 2, SubtaskKind.TAIL)
+        assert s == Subtask(1.0, 5.0, 4.0, t, 2, SubtaskKind.TAIL)
+        assert len({s, Subtask(1.0, 5.0, 4.0, t, 2, SubtaskKind.TAIL)}) == 1
+        assert repr(s) == (
+            "Subtask(cost=1.0, period=5.0, deadline=4.0, parent="
+            "Task(cost=1.0, period=5.0, tid=2, name='x'), index=2, "
+            "kind=<SubtaskKind.TAIL: 'tail'>)"
+        )
+
+    def test_replace_round_trips_and_validates(self):
+        t = Task(cost=1.0, period=5.0, tid=2, name="x")
+        assert dataclasses.replace(t, tid=4) == Task(1.0, 5.0, 4, "x")
+        s = Subtask(1.0, 5.0, 4.0, t, 2, SubtaskKind.TAIL)
+        assert dataclasses.replace(s, cost=2.0) == Subtask(
+            2.0, 5.0, 4.0, t, 2, SubtaskKind.TAIL
+        )
+        with pytest.raises(ValueError, match="cannot exceed the period"):
+            dataclasses.replace(s, deadline=9.0)
+
+    def test_pickle_round_trips(self):
+        t = Task(cost=1.0, period=5.0, tid=2, name="x")
+        s = Subtask(1.0, 5.0, 4.0, t, 2, SubtaskKind.BODY)
+        for value in (t, s):
+            back = pickle.loads(pickle.dumps(value))
+            assert back == value
+            assert hash(back) == hash(value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                back.cost = 3.0  # type: ignore[misc]
